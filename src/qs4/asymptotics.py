@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .functional import TimeWindow, _tail_check, spacetime_slices
+from .functional import TimeWindow, spacetime_slices, window_norm
 from .grid import Field, Grid2D, SpectralField, dft_forward
 from .propagator import (
     BAND_GUARD_FRACTION,
@@ -36,7 +36,6 @@ from .propagator import (
 
 __all__ = [
     "ModulationScan",
-    "OscillatorySample",
     "DominationReport",
     "modulation_scan",
     "phase_phi_n",
@@ -107,11 +106,6 @@ def _demodulated_symbol(grid: Grid2D, m: float, direction: np.ndarray) -> np.nda
     return xi_sq ** 2 + 4 * xi_sq * dot + 2 * xi_sq * m ** 2 + 4 * dot ** 2
 
 
-def _norm_from_slices(slices: np.ndarray, w: TimeWindow, label: str) -> float:
-    _tail_check(slices, w.weights, label)
-    return float(np.dot(w.weights, slices) ** (1.0 / 6.0))
-
-
 def modulation_scan(phi: Field, magnitudes, direction, w: TimeWindow) -> ModulationScan:
     """Scan ||e^{it Delta^2} e^{i x . m dir} phi||_6 over carrier magnitudes.
 
@@ -146,7 +140,7 @@ def modulation_scan(phi: Field, magnitudes, direction, w: TimeWindow) -> Modulat
         # m = 0 is unmodulated: no rescaled time exists, use the window as is
         wm = w if m == 0 else TimeWindow(w.t_max / m ** 2, w.n_t)
         slices = spacetime_slices(Fc, symbol, wm, 6)
-        raw.append(_norm_from_slices(slices, wm, f"modulated L^6 norm at m={m:g}"))
+        raw.append(window_norm(slices, wm, 6, f"modulated L^6 norm at m={m:g}"))
 
     compensated = [m ** (1.0 / 3.0) * r for m, r in zip(magnitudes, raw)]
 
@@ -154,7 +148,7 @@ def modulation_scan(phi: Field, magnitudes, direction, w: TimeWindow) -> Modulat
     Fm = dft_forward(mapped)
     Fmc = _crop_grid(Fm, _bump_radius(Fm))
     slices = spacetime_slices(Fmc, -Fmc.grid.xi_sq, w, 6)
-    ref = _norm_from_slices(slices, w, "second-order reference norm")
+    ref = window_norm(slices, w, 6, "second-order reference norm")
     limit_reference = (2.0 * np.sqrt(3.0)) ** (-1.0 / 3.0) * ref
 
     threshold = None

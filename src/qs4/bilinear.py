@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .functional import TimeWindow, _tail_check, spacetime_slices
+from .functional import TimeWindow, evolve_padded, window_norm
 from .grid import Field, Grid2D, dft_forward, make_random_field, spectral_cutoff
 from .propagator import BAND_GUARD_FRACTION, check_band_guard
 
@@ -102,23 +102,16 @@ def product_norm_l3(pair: SeparatedPair, w: TimeWindow) -> float:
     Ff = dft_forward(pair.f)
     Fg = dft_forward(pair.g)
     check_band_guard(Fg)
-    symbol = grid.xi_sq ** 2
-    from .functional import _TIME_CHUNK, _alt_sign, _fine_inverse, _pad_coeffs
-
-    sign = _alt_sign(grid.n)
-    cf = sign * Ff.coeffs
-    cg = sign * Fg.coeffs
     quad = (grid.extent / (_PAIR_PAD * grid.n)) ** 2
-    slices = np.empty(w.n_t)
-    for lo in range(0, w.n_t, _TIME_CHUNK):
-        ts = w.nodes[lo:lo + _TIME_CHUNK]
-        phases = np.exp(1j * ts[:, None, None] * symbol[None, :, :])
-        uf = _fine_inverse(_pad_coeffs(cf[None] * phases, _PAIR_PAD), grid.extent)
-        ug = _fine_inverse(_pad_coeffs(cg[None] * phases, _PAIR_PAD), grid.extent)
+
+    def powers(chunk, phases, us):
+        uf, ug = us
         prod_sq = (uf.real ** 2 + uf.imag ** 2) * (ug.real ** 2 + ug.imag ** 2)
-        slices[lo:lo + len(ts)] = np.sum(prod_sq ** 1.5, axis=(-2, -1)) * quad
-    _tail_check(slices, w.weights, "bilinear L^3 norm", limit=TAIL_FRACTION_BILINEAR)
-    return float(np.dot(w.weights, slices) ** (1.0 / 3.0))
+        return np.sum(prod_sq ** 1.5, axis=(-2, -1)) * quad
+
+    slices = np.concatenate(evolve_padded(grid, [Ff.coeffs, Fg.coeffs], grid.xi_sq ** 2,
+                                          w.nodes, powers, pad=_PAIR_PAD))
+    return window_norm(slices, w, 3, "bilinear L^3 norm", limit=TAIL_FRACTION_BILINEAR)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import struct
 import sys
 
@@ -25,10 +24,10 @@ import numpy as np
 from . import __version__
 from .errors import NumericalGuardError, ValidationError
 from .grid import Field, SpectralField, make_gaussian, make_grid, make_random_field
-from .functional import TimeWindow, strichartz_quotient
+from .functional import TimeWindow
 from .propagator import evolve_quartic, evolve_schrodinger
 from .extremizer import IterationConfig, run_iteration
-from .asymptotics import dominating_function_check, modulation_scan, oscillatory_integral
+from .asymptotics import modulation_scan, oscillatory_integral
 from .bilinear import decay_scan
 from .profiles import (
     SymmetryParams,
@@ -177,7 +176,10 @@ def _float_list(text: str) -> list:
 
 
 def _int_list(text: str) -> list:
-    return [int(v) for v in _float_list(text)]
+    vals = _float_list(text)
+    if not all(v.is_integer() for v in vals):
+        raise ValidationError(f"expected a comma-separated integer list, got {text!r}")
+    return [int(v) for v in vals]
 
 
 def _pair(text: str) -> tuple:
@@ -285,9 +287,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
         if isinstance(val, tuple):
             val = list(val)
         cfg[key] = val
-    threads = os.environ.get("QS4_THREADS")
-    if threads is not None:
-        cfg["qs4_threads"] = threads
     return cfg
 
 
@@ -417,7 +416,7 @@ def _run_profile_demo(args) -> None:
         [SymmetryParams(h=1.0, x0=(shift / 2, 0.0)) for _ in range(args.index + 1)],
     ]
     u = synthesize_sequence([phi, phi], seqs, args.index, args.noise, args.seed)
-    result = extract_profiles(u, phi, 2, w)
+    result = extract_profiles(u, phi, 2, w, compute_strichartz=False)
     l2_defect, st_defect = orthogonality_defect(u, result, w)
     results = {
         "n_profiles": len(result.profiles),

@@ -24,8 +24,8 @@ from .grid import (
     make_random_field,
     spectral_cutoff,
 )
-from .profiles import SymmetryParams, _translate
-from .propagator import resample_linear
+from .profiles import SymmetryParams, apply_symmetry
+from .propagator import BAND_GUARD_FRACTION, resample_linear
 
 __all__ = [
     "IterationConfig",
@@ -145,13 +145,14 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
     The recorded quotient history therefore contains accepted steps only and
     is nondecreasing up to the tolerance.
 
-    Iterates are projected onto the guarded spectral band (|xi| below 0.9 of
-    the Nyquist radius) after every step: the ascent is then a well-posed
-    maximization over that band-limited subspace, and the multiplier guards
-    stay meaningful throughout.  The projection removes a mass fraction on
-    the order of the guard tolerance, far below the residual target.
+    Iterates are projected onto the guarded spectral band (|xi| below
+    BAND_GUARD_FRACTION of the Nyquist radius) after every step: the ascent is
+    then a well-posed maximization over that band-limited subspace, and the
+    multiplier guards stay meaningful throughout.  The projection removes a
+    mass fraction on the order of the guard tolerance, far below the residual
+    target.
     """
-    band = 0.9 * cfg.grid.nyquist
+    band = BAND_GUARD_FRACTION * cfg.grid.nyquist
 
     def confine(f: Field) -> Field:
         return _normalize(spectral_cutoff(f, 0.0, band))
@@ -211,7 +212,7 @@ def recenter(f: Field) -> tuple:
         raise ValidationError("cannot recenter the zero field")
     p = np.abs(f.values) ** 2 * g.spacing ** 2 / nrm2
     xbar = np.array([float(np.sum(g.x[:, None] * p)), float(np.sum(g.x[None, :] * p))])
-    centered = _translate(f, -xbar) if np.any(xbar != 0) else f
+    centered = apply_symmetry(f, SymmetryParams(x0=tuple(-xbar)))
 
     pc = np.abs(centered.values) ** 2 * g.spacing ** 2 / nrm2
     r_sq = g.x[:, None] ** 2 + g.x[None, :] ** 2
@@ -233,7 +234,10 @@ def recenter(f: Field) -> tuple:
 
 def diagnostics(report: ExtremizerReport, w: TimeWindow, n_pairings: int = 10) -> DiagnosticsSummary:
     """Recompute the reported quotient and residual at doubled time resolution
-    and probe the weak form <g, Lambda f> = omega <g, f> with random fields."""
+    and probe the weak form <g, Lambda f> = omega <g, f> with random fields.
+
+    The refined residual projects Lambda f onto the guarded band, the same
+    stationarity condition that run_iteration converges to."""
     f = _normalize(report.final_field)
     fine = w.refined(2)
     q_fine = spacetime_norm(f, 6, 0.0, fine)
@@ -241,7 +245,7 @@ def diagnostics(report: ExtremizerReport, w: TimeWindow, n_pairings: int = 10) -
     disc = abs(q_fine - q_rep) / q_fine if np.isfinite(q_rep) else float("inf")
     flagged = not np.isfinite(q_rep) or disc > 0.01
 
-    lam, omega, _, residual_fine = _evaluate(f, fine)
+    lam, omega, _, residual_fine = _evaluate(f, fine, BAND_GUARD_FRACTION * f.grid.nyquist)
     errors = []
     for k in range(n_pairings):
         probe = make_random_field(f.grid, 1000 + k, band_radius=0.3 * f.grid.nyquist,

@@ -2,14 +2,19 @@
 Euler-Lagrange map.
 
 Time integrals over R are truncated to a symmetric window [-t_max, t_max] and
-evaluated by the composite trapezoid rule; a window is accepted only if the
-integrand slices at the endpoints contribute less than TAIL_FRACTION of the
-accumulated p-th power.
+evaluated by the composite trapezoid rule; window_norm accepts a window only
+if the integrand slices at the endpoints contribute less than TAIL_FRACTION
+of the accumulated p-th power.
 
-Pointwise products of evolved fields (the |u|^4 u quintic, Q's six-fold
-product, the p-th power inside the norms) are always formed in physical space
-on a grid zero-padded by PAD_FACTOR per axis, then truncated back, so the
-working band is never contaminated by wrapped frequencies.
+All four quantities, and the bilinear product norm, run on one kernel,
+evolve_padded.  It evolves the spectra to a chunk of time nodes, embeds them
+zero-padded by PAD_FACTOR per axis and inverse-transforms them, so pointwise
+products (the |u|^4 u quintic, Q's six-fold product, the p-th power inside
+the norms) are formed on the refined lattice and the working band is never
+contaminated by wrapped frequencies.  A per-chunk operation supplied by the
+caller reduces the padded samples, and the kernel keeps only its small
+result: each chunk's padded arrays are freed before the next chunk is
+evolved, so the working memory is one chunk's worth.
 """
 
 from __future__ import annotations
@@ -21,12 +26,15 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import TailTestError, ValidationError
-from .grid import Field, SpectralField, dft_forward, dft_inverse, inner_product
+from .grid import Field, Grid2D, SpectralField, dft_forward, dft_inverse
 from .propagator import check_band_guard
 
 __all__ = [
     "TimeWindow",
     "QuotientValue",
+    "evolve_padded",
+    "window_norm",
+    "spacetime_slices",
     "spacetime_norm",
     "strichartz_quotient",
     "q_form",
@@ -83,62 +91,62 @@ class QuotientValue:
         return self.numerator / self.denominator
 
 
-def _alt_sign(n: int) -> np.ndarray:
-    k = np.arange(-n // 2, n // 2)
-    return ((-1.0) ** (k[:, None] + k[None, :])).astype(float)
+def _padded_inverse(coeffs: np.ndarray, pad: int, extent: float) -> np.ndarray:
+    """Samples on the pad-fold refined lattice of sign-premultiplied centered
+    coefficients (batched).
 
-
-def _pad_coeffs(coeffs: np.ndarray, pad: int) -> np.ndarray:
-    """Embed signed-order (n, n) coefficients centrally into (pad*n, pad*n)."""
+    Expects `Grid2D.alt_sign * C`, embeds it centrally into (pad*n, pad*n)
+    and returns the physical samples times (-1)^(j1+j2).  The identity
+    ifft(ifftshift(D)) = (-1)^j ifft(D) (even sizes) trades the two
+    lattice-sized permutations for sign flips that every caller cancels
+    pointwise: |u|^p is sign-blind, even products cancel it, and el_map's
+    odd quintic carries it through its forward transform.
+    """
     n = coeffs.shape[-1]
-    big = np.zeros(coeffs.shape[:-2] + (pad * n, pad * n), dtype=complex)
-    lo = (pad * n - n) // 2
-    big[..., lo:lo + n, lo:lo + n] = coeffs
-    return big
-
-
-def _fine_inverse(coeffs: np.ndarray, extent: float) -> np.ndarray:
-    """Inverse transform of sign-premultiplied centered coefficients (batched).
-
-    Expects `_alt_sign(n) * C` embedded by `_pad_coeffs`; returns the physical
-    samples times (-1)^(j1+j2).  The identity ifft(ifftshift(D)) =
-    (-1)^j ifft(D) (even sizes) trades the two lattice-sized permutations for
-    sign flips that every caller cancels pointwise: |u|^p is sign-blind and
-    odd or even products carry the flip through to `_fine_forward`.
-    """
-    nn = coeffs.shape[-1]
-    return sfft.ifft2(coeffs, axes=(-2, -1)) * (nn / extent) ** 2
-
-
-def _fine_forward(values: np.ndarray, extent: float) -> np.ndarray:
-    """Forward transform of sign-carrying physical samples (batched).
-
-    Input is the physical values times (-1)^(j1+j2) (the `_fine_inverse`
-    convention); output is the centered coefficient array still awaiting one
-    `_alt_sign` multiply, which callers apply after truncating back to the
-    working band so the flip costs n^2 and not (pad n)^2.
-    """
-    nn = values.shape[-1]
-    return (extent / nn) ** 2 * sfft.fft2(values, axes=(-2, -1))
-
-
-def _truncate_coeffs(big: np.ndarray, n: int) -> np.ndarray:
-    nn = big.shape[-1]
+    nn = pad * n
+    big = np.zeros(coeffs.shape[:-2] + (nn, nn), dtype=complex)
     lo = (nn - n) // 2
-    return big[..., lo:lo + n, lo:lo + n]
+    big[..., lo:lo + n, lo:lo + n] = coeffs
+    return sfft.ifft2(big, axes=(-2, -1)) * (nn / extent) ** 2
 
 
-def _tail_check(slice_powers: np.ndarray, weights: np.ndarray, what: str,
-                limit: float = TAIL_FRACTION) -> None:
-    total = float(np.dot(weights, slice_powers))
-    if total == 0:
-        return
-    tail = weights[0] * slice_powers[0] + weights[-1] * slice_powers[-1]
-    if tail > limit * total:
+def evolve_padded(grid: Grid2D, spectra: list, symbol: np.ndarray, times: np.ndarray,
+                  op, pad: int = PAD_FACTOR) -> list:
+    """The padded-evolution kernel: [op(chunk, phases, us) for each time chunk].
+
+    `times` is cut into chunks of at most _TIME_CHUNK nodes.  For each,
+    `chunk` is the slice of `times` it covers, `phases` is
+    exp(i times[chunk] symbol) with shape (len, n, n), and `us[k]` holds the
+    samples of spectra[k] (centered coefficients on `grid`) evolved to those
+    nodes on the pad-fold refined lattice, carrying the (-1)^(j1+j2) flip of
+    `_padded_inverse`.  The padded arrays live only for the call to `op`, so
+    op must reduce them to a small result.
+    """
+    signed = [grid.alt_sign * c for c in spectra]
+    results = []
+    for lo in range(0, len(times), _TIME_CHUNK):
+        chunk = slice(lo, lo + _TIME_CHUNK)
+        phases = np.exp(1j * times[chunk, None, None] * symbol[None, :, :])
+        results.append(op(chunk, phases, [_padded_inverse(c * phases, pad, grid.extent)
+                                          for c in signed]))
+    return results
+
+
+def window_norm(slices: np.ndarray, w: TimeWindow, p: float, what: str,
+                limit: float = TAIL_FRACTION) -> float:
+    """(sum_t w_t slices_t)^(1/p) over the window.
+
+    Raises TailTestError when the endpoint slices contribute more than
+    `limit` of the sum: the integrand has not decayed inside the window.
+    """
+    total = float(np.dot(w.weights, slices))
+    tail = w.weights[0] * slices[0] + w.weights[-1] * slices[-1]
+    if total != 0 and tail > limit * total:
         raise TailTestError(
             f"{what}: endpoint slices contribute {tail / total:.3e} of the "
             f"integral (limit {limit:.0e}); enlarge the time window"
         )
+    return total ** (1.0 / p)
 
 
 def spacetime_slices(F: SpectralField, symbol: np.ndarray, w: TimeWindow, p: float,
@@ -149,16 +157,13 @@ def spacetime_slices(F: SpectralField, symbol: np.ndarray, w: TimeWindow, p: flo
     """
     g = F.grid
     coeffs = F.coeffs if pre_multiplier is None else F.coeffs * pre_multiplier
-    coeffs = _alt_sign(g.n) * coeffs
     quad = (g.extent / (pad * g.n)) ** 2
-    out = np.empty(w.n_t)
-    for lo in range(0, w.n_t, _TIME_CHUNK):
-        ts = w.nodes[lo:lo + _TIME_CHUNK]
-        evolved = coeffs[None, :, :] * np.exp(1j * ts[:, None, None] * symbol[None, :, :])
-        u = _fine_inverse(_pad_coeffs(evolved, pad), g.extent)
-        mag_sq = u.real ** 2 + u.imag ** 2
-        out[lo:lo + len(ts)] = np.sum(mag_sq ** (p / 2.0), axis=(-2, -1)) * quad
-    return out
+
+    def powers(chunk, phases, us):
+        u, = us
+        return np.sum((u.real ** 2 + u.imag ** 2) ** (p / 2.0), axis=(-2, -1)) * quad
+
+    return np.concatenate(evolve_padded(g, [coeffs], symbol, w.nodes, powers, pad))
 
 
 def spacetime_norm(f: Field, p: float, frac_order: float, w: TimeWindow) -> float:
@@ -172,8 +177,7 @@ def spacetime_norm(f: Field, p: float, frac_order: float, w: TimeWindow) -> floa
     g = f.grid
     pre = g.xi_abs ** frac_order if frac_order > 0 else None
     slices = spacetime_slices(F, g.xi_sq ** 2, w, p, pre_multiplier=pre)
-    _tail_check(slices, w.weights, f"space-time L^{p} norm")
-    return float(np.dot(w.weights, slices) ** (1.0 / p))
+    return window_norm(slices, w, p, f"space-time L^{p} norm")
 
 
 def strichartz_quotient(f: Field, w: TimeWindow) -> QuotientValue:
@@ -186,28 +190,31 @@ def strichartz_quotient(f: Field, w: TimeWindow) -> QuotientValue:
 
 def q_form(f1: Field, f2: Field, f3: Field, f4: Field, f5: Field, f6: Field,
            w: TimeWindow) -> complex:
-    """Q(f1..f6) = int prod_{k=1..3} conj(u_k) u_{k+3} dx dt with u = e^{it Delta^2} f."""
+    """Q(f1..f6) = int prod_{k=1..3} conj(u_k) u_{k+3} dx dt with u = e^{it Delta^2} f.
+
+    Each distinct operand object is evolved once, whatever slots it fills.
+    """
     fields = (f1, f2, f3, f4, f5, f6)
     g = f1.grid
     for f in fields[1:]:
         if not f.grid.same_as(g):
             raise ValidationError("q_form operands live on different grids")
-    sign = _alt_sign(g.n)
-    specs = []
-    for f in fields:
+    operands = {id(f): f for f in fields}
+    slots = [list(operands).index(id(f)) for f in fields]
+    spectra = []
+    for f in operands.values():
         F = dft_forward(f)
         check_band_guard(F)
-        specs.append(sign * F.coeffs)
-    symbol = g.xi_sq ** 2
+        spectra.append(F.coeffs)
     quad = (g.extent / (PAD_FACTOR * g.n)) ** 2
-    total = 0.0 + 0.0j
-    for t, wt in zip(w.nodes, w.weights):
-        phase = np.exp(1j * t * symbol)
-        us = [_fine_inverse(_pad_coeffs(c * phase, PAD_FACTOR), g.extent) for c in specs]
+
+    def integrate(chunk, phases, us):
+        u = [us[k] for k in slots]
         # the six sign flips cancel pairwise in the even product
-        prod = np.conj(us[0] * us[1] * us[2]) * (us[3] * us[4] * us[5])
-        total += wt * prod.sum() * quad
-    return complex(total)
+        prod = np.conj(u[0] * u[1] * u[2]) * (u[3] * u[4] * u[5])
+        return np.dot(w.weights[chunk], prod.sum(axis=(-2, -1))) * quad
+
+    return complex(sum(evolve_padded(g, spectra, g.xi_sq ** 2, w.nodes, integrate)))
 
 
 def el_map(f: Field, w: TimeWindow) -> Field:
@@ -218,32 +225,32 @@ def el_map(f: Field, w: TimeWindow) -> Field:
     F = dft_forward(f)
     check_band_guard(F)
     g = f.grid
-    symbol = g.xi_sq ** 2
-    sign = _alt_sign(g.n)
-    signed = sign * F.coeffs
-
-    def accumulate(nodes, weights):
-        acc = np.zeros((g.n, g.n), dtype=complex)
-        for lo in range(0, len(nodes), _TIME_CHUNK):
-            ts = nodes[lo:lo + _TIME_CHUNK]
-            wts = weights[lo:lo + len(ts)]
-            phases = np.exp(1j * ts[:, None, None] * symbol[None, :, :])
-            u = _fine_inverse(_pad_coeffs(signed[None, :, :] * phases, PAD_FACTOR), g.extent)
-            # |u|^4 u keeps the single sign flip, undone after truncation
-            nl = (u.real ** 2 + u.imag ** 2) ** 2 * u
-            spec = sign * _truncate_coeffs(_fine_forward(nl, g.extent), g.n)
-            acc += np.einsum("t,tab->ab", wts, spec * np.conj(phases))
-        return acc
-
-    if np.max(np.abs(f.values.imag)) <= 1e-14 * np.max(np.abs(f.values.real)):
+    real = np.max(np.abs(f.values.imag)) <= 1e-14 * np.max(np.abs(f.values.real))
+    if real:
         # Real input: the t and -t contributions are complex conjugates, so
         # only the nonnegative half of the window needs evolving (t = 0 at
         # half weight, doubled along with everything else by taking 2 Re).
         mid = w.n_t // 2
-        wts = w.weights[mid:].copy()
-        wts[0] /= 2
-        acc = accumulate(w.nodes[mid:], wts)
-        result = dft_inverse(SpectralField(g, acc))
+        times, weights = w.nodes[mid:], w.weights[mid:].copy()
+        weights[0] /= 2
+    else:
+        times, weights = w.nodes, w.weights
+
+    nn = PAD_FACTOR * g.n
+    lo = (nn - g.n) // 2
+
+    def project(chunk, phases, us):
+        u, = us
+        # |u|^4 u keeps the single sign flip; the forward transform is
+        # truncated to the working band before alt_sign undoes it, so the
+        # flip costs n^2 and not (pad n)^2
+        nl = (u.real ** 2 + u.imag ** 2) ** 2 * u
+        spec = sfft.fft2(nl, axes=(-2, -1))[..., lo:lo + g.n, lo:lo + g.n]
+        spec = g.alt_sign * ((g.extent / nn) ** 2 * spec)
+        return np.einsum("t,tab->ab", weights[chunk], spec * np.conj(phases))
+
+    acc = sum(evolve_padded(g, [F.coeffs], g.xi_sq ** 2, times, project))
+    result = dft_inverse(SpectralField(g, acc))
+    if real:
         return Field(g, (2.0 * result.values.real).astype(complex))
-    acc = accumulate(w.nodes, w.weights)
-    return dft_inverse(SpectralField(g, acc))
+    return result

@@ -88,7 +88,7 @@ class Grid2D:
         return np.sqrt(self.xi_sq)
 
     @cached_property
-    def _alt_sign(self) -> np.ndarray:
+    def alt_sign(self) -> np.ndarray:
         """(-1)^(k1+k2) phase relating numpy's FFT to the centered transform."""
         k = np.arange(-self.n // 2, self.n // 2)
         return ((-1.0) ** (k[:, None] + k[None, :])).astype(float)
@@ -161,14 +161,14 @@ def make_grid(n: int, extent: float) -> Grid2D:
 def dft_forward(f: Field) -> SpectralField:
     """Discrete analogue of F(xi) = int exp(-i x.xi) u(x) dx."""
     g = f.grid
-    coeffs = g.spacing ** 2 * g._alt_sign * sfft.fftshift(sfft.fft2(f.values))
+    coeffs = g.spacing ** 2 * g.alt_sign * sfft.fftshift(sfft.fft2(f.values))
     return SpectralField(g, coeffs)
 
 
 def dft_inverse(F: SpectralField) -> Field:
     """Inverse transform with the (2*pi)^-2 prefactor; round trip is identity."""
     g = F.grid
-    values = sfft.ifft2(sfft.ifftshift(g._alt_sign * F.coeffs)) * (g.n / g.extent) ** 2
+    values = sfft.ifft2(sfft.ifftshift(g.alt_sign * F.coeffs)) * (g.n / g.extent) ** 2
     return Field(g, values)
 
 

@@ -16,7 +16,6 @@ import pytest
 from qs4.asymptotics import dominating_function_check, modulation_scan, oscillatory_integral
 from qs4.bilinear import REFERENCE_SLOPE_WEAK, decay_scan, jacobian_det
 from qs4.cli import parse_and_run, read_field, write_field
-from qs4.extremizer import IterationConfig, run_iteration
 from qs4.functional import TimeWindow, el_map, spacetime_norm, strichartz_quotient
 from qs4.grid import (
     Field,
@@ -31,16 +30,6 @@ from qs4.grid import (
 from qs4.profiles import SymmetryParams, apply_symmetry, extract_profiles, orthogonality_defect, synthesize_sequence
 from qs4.propagator import LinearMapA0, evolve_quartic, phase_expansion
 from qs4.weights import WeightParams, decay_fit, sample_constraint_tuples, weight_kernel_check
-
-
-@pytest.fixture(scope="module")
-def extremal_run():
-    """Converged Gaussian-seed ascent at the frozen full-scale configuration."""
-    cfg = IterationConfig(grid=make_grid(128, 128.0), window=TimeWindow(2.0, 257),
-                          max_iters=500, seed_width=1.05)
-    start = time.monotonic()
-    report = run_iteration(cfg)
-    return report, time.monotonic() - start
 
 
 class TestCriterion01Unitarity:

@@ -15,7 +15,8 @@ from qs4.bilinear import (
 )
 from qs4.errors import ValidationError
 from qs4.functional import TimeWindow
-from qs4.grid import dft_forward, make_grid
+from qs4.grid import SpectralField, dft_forward, dft_inverse, make_grid
+from qs4.propagator import evolve_quartic
 
 
 class TestSeparatedPair:
@@ -76,6 +77,27 @@ class TestProductNorm:
         coarse = product_norm_l3(pair, TimeWindow(0.5, 33))
         fine = product_norm_l3(pair, TimeWindow(0.5, 65))
         assert abs(coarse - fine) / fine < 1e-2
+
+    def test_matches_direct_quadrature_on_pad2_grid(self):
+        # both factors resampled onto the doubled lattice by spectral
+        # zero-padding, then evolved and multiplied node by node
+        g = make_grid(128, 32.0)
+        pair = make_separated_pair(g, 0.5, 4.0, seed=2, envelope_width=2.0)
+        w = TimeWindow(0.5, 33)
+        fine = make_grid(2 * g.n, g.extent)
+        lo = g.n // 2
+
+        def refine(f):
+            C = np.zeros((fine.n, fine.n), dtype=complex)
+            C[lo:lo + g.n, lo:lo + g.n] = dft_forward(f).coeffs
+            return dft_inverse(SpectralField(fine, C))
+
+        ff, fg = refine(pair.f), refine(pair.g)
+        direct = 0.0
+        for t, wt in zip(w.nodes, w.weights):
+            prod = evolve_quartic(ff, t).values * evolve_quartic(fg, t).values
+            direct += wt * np.sum(np.abs(prod) ** 3) * fine.spacing ** 2
+        assert np.isclose(product_norm_l3(pair, w), direct ** (1.0 / 3.0), rtol=1e-12, atol=0)
 
 
 @pytest.fixture(scope="module")

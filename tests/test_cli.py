@@ -104,6 +104,12 @@ class TestExitCodes:
                             "--out", str(tmp_path / "o.json")])
         assert rc == 1
 
+    def test_fractional_seed_rejected(self, tmp_path, capsys):
+        rc = parse_and_run(["bilinear-scan", "--seeds", "1.5",
+                            "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert "integer" in capsys.readouterr().err
+
 
 class TestPropagate:
     def test_gaussian_default_seed(self, tmp_path):

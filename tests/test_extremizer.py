@@ -28,10 +28,9 @@ def window():
 
 
 @pytest.fixture(scope="module")
-def converged(grid, window):
-    cfg = IterationConfig(grid=grid, window=window, max_iters=500,
-                          seed_width=1.05)
-    return run_iteration(cfg)
+def converged(extremal_run):
+    # the shared session ascent runs this module's grid, window and seed width
+    return extremal_run[0]
 
 
 class TestIterationConfig:

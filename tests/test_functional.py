@@ -137,6 +137,22 @@ class TestQForm:
         with pytest.raises(ValidationError):
             q_form(f, h, f, f, f, f, _window())
 
+    @pytest.mark.parametrize("slots", [(0, 1, 2, 3, 4, 5), (0, 1, 0, 2, 0, 1)])
+    def test_matches_direct_quadrature(self, slots):
+        # operands band-limited below a third of Nyquist: a six-fold product
+        # cannot wrap, so the unpadded node-by-node sum is exact
+        g = make_grid(64, 16.0)
+        w = _window()
+        pool = [make_random_field(g, 20 + k, band_radius=0.3 * g.nyquist,
+                                  envelope_width=g.extent / 10) for k in range(6)]
+        fields = [pool[k] for k in slots]
+        direct = 0.0
+        for t, wt in zip(w.nodes, w.weights):
+            u = [evolve_quartic(f, t).values for f in fields]
+            prod = np.conj(u[0] * u[1] * u[2]) * (u[3] * u[4] * u[5])
+            direct += wt * prod.sum() * g.spacing ** 2
+        assert np.isclose(q_form(*fields, w), direct, rtol=1e-12, atol=0)
+
 
 class TestElMap:
     def test_pairing_identity(self):
