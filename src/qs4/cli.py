@@ -7,7 +7,7 @@ Fields travel in a small binary container; reports serialize to JSON and
 scans to CSV, both with 17 significant digits.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 numerical-guard
-abort.
+abort, 3 any other qs4 error, such as a violated weight-kernel bound.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import NumericalGuardError, ValidationError
-from .grid import Field, SpectralField, make_gaussian, make_grid, make_random_field
+from .errors import NumericalGuardError, QS4Error, ValidationError
+from .grid import Field, SpectralField, make_gaussian, make_grid
 from .functional import TimeWindow
 from .propagator import evolve_quartic, evolve_schrodinger
 from .extremizer import IterationConfig, run_iteration
@@ -217,7 +217,6 @@ def _build_parser() -> _Parser:
     _add_window_args(p, default_nt=257)
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--step-mode", choices=["fixed-point", "damped"], default="fixed-point")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--seed-width", type=float, default=1.05)
     p.add_argument("--seed", type=int, default=0, help="rng seed for the noise component")
@@ -260,7 +259,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("profile-demo", help="two-profile synthesis and re-extraction")
-    _add_grid_args(p)
+    _add_grid_args(p, default_extent=32.0)
     _add_window_args(p)
     p.add_argument("--index", type=int, default=6)
     p.add_argument("--noise", type=float, default=0.0)
@@ -273,7 +272,7 @@ def _build_parser() -> _Parser:
                    help="frequency-side Gaussian width of the amplitude")
     p.add_argument("--support-radius", type=float, default=4.0,
                    help="amplitude truncated to |xi| <= this radius")
-    p.add_argument("--t-values", type=_float_list, default=[1.0, 4.0, 16.0, 64.0])
+    p.add_argument("--t-values", type=_float_list, default=[1.0, 4.0, 16.0])
     p.add_argument("--x-values", type=_float_list, default=[0.0])
     p.add_argument("--xi-n", type=_pair, default=(1000.0, 0.0))
     p.add_argument("--out", required=True)
@@ -309,10 +308,9 @@ def _run_propagate(args) -> None:
 def _run_extremize(args) -> None:
     g = make_grid(args.grid_n, args.extent)
     w = TimeWindow(args.t_max, args.nt)
-    beta = 1.0 if args.step_mode == "fixed-point" else args.beta
     cfg = IterationConfig(
         grid=g, window=w, max_iters=args.iters, tol_residual=args.tol,
-        step_mode=args.step_mode, beta=beta, seed_width=args.seed_width,
+        beta=args.beta, seed_width=args.seed_width,
         seed_noise=args.seed_noise, rng_seed=args.seed,
     )
     report = run_iteration(cfg)
@@ -384,7 +382,7 @@ def _run_weight_check(args) -> None:
     results = {
         "n_checked": report.n_checked,
         "max_kernel": report.max_kernel,
-        "argmax_etas": [list(row) for row in report.argmax.etas],
+        "argmax_etas": report.argmax.tolist(),
         "params": params.to_dict(),
     }
     emit_results({"config": _config_echo(args), "results": results}, "json", args.out)
@@ -471,6 +469,9 @@ def parse_and_run(argv: list) -> int:
     except OSError as exc:
         print(f"qs4: error: {exc}", file=sys.stderr)
         return 1
+    except QS4Error as exc:
+        print(f"qs4: check failed: {exc}", file=sys.stderr)
+        return 3
     except SystemExit as exc:
         # argparse --version/--help paths
         return int(exc.code or 0)

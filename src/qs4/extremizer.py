@@ -48,7 +48,6 @@ class IterationConfig:
     max_iters: int = 500
     tol_residual: float = 1e-3
     tol_quotient_delta: float = 1e-8
-    step_mode: str = "fixed-point"
     beta: float = 1.0
     seed_width: float = 0.8
     seed_center: tuple = (0.0, 0.0)
@@ -61,12 +60,8 @@ class IterationConfig:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol_residual <= 0 or self.tol_quotient_delta <= 0:
             raise ValidationError("tolerances must be positive")
-        if self.step_mode not in ("fixed-point", "damped"):
-            raise ValidationError(f"unknown step_mode {self.step_mode!r}")
         if not 0 < self.beta <= 1:
             raise ValidationError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.step_mode == "fixed-point" and self.beta != 1.0:
-            raise ValidationError("fixed-point mode requires beta = 1")
         if self.seed_noise < 0:
             raise ValidationError("seed_noise must be >= 0")
 

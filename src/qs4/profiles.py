@@ -15,7 +15,7 @@ filter over a dictionary of candidate bubbles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import NumericalGuardError, ValidationError
 from .functional import TimeWindow, spacetime_norm
 from .grid import (
     Field,
-    Grid2D,
     SpectralField,
     dft_forward,
     dft_inverse,
@@ -165,14 +164,6 @@ def orthogonality_defect(u: Field, result: DecompositionResult, w: TimeWindow) -
     return float(l2_defect), float(strichartz_defect)
 
 
-def _correlation_map(psi: Field, target: Field) -> np.ndarray:
-    """<Tr_{x0} psi, target> for every lattice shift x0, via one transform."""
-    P = dft_forward(psi)
-    T = dft_forward(target)
-    g = psi.grid
-    return dft_inverse(SpectralField(g, np.conj(P.coeffs) * T.coeffs)).values
-
-
 def _golden_max(fun, a: float, b: float, tol: float = 1e-3) -> tuple:
     """Golden-section maximization of a unimodal-ish scalar function."""
     invphi = (np.sqrt(5.0) - 1) / 2
@@ -201,6 +192,8 @@ def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindo
     an exact cross-correlation, projects it out, and repeats until the matched
     coefficient drops below coeff_floor * ||residual|| or max_profiles is hit.
     Scales that would squeeze a shape below the lattice spacing are skipped.
+    The filter works on spectra: each candidate shape is transformed once,
+    the residual once per stage, and each score costs one inverse transform.
     """
     if isinstance(dictionary, Field):
         dictionary = [dictionary]
@@ -213,6 +206,21 @@ def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindo
         h_grid = [2.0 ** k for k in range(-2, 3)]
     if t0_grid is None:
         t0_grid = np.linspace(-w.t_max / 2, w.t_max / 2, 9)
+    xi4 = g.xi_sq ** 2
+
+    candidates = []  # (dictionary index, scale, spectrum of the dilated shape)
+    for d_idx, shape in enumerate(dictionary):
+        for h in h_grid:
+            try:
+                base = resample_linear(shape, np.eye(2) / h) if h != 1.0 else shape
+                B = dft_forward(base)
+                check_band_guard(B)
+            except (ValidationError, NumericalGuardError):
+                # squeezed below what the lattice can represent
+                continue
+            candidates.append((d_idx, h, B.coeffs))
+    if not candidates:
+        raise ValidationError("no dictionary shape passes the band guard at any scale in h_grid")
 
     residual = u
     profiles, params = [], []
@@ -222,47 +230,42 @@ def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindo
         r_norm = residual.l2_norm()
         if r_norm <= 1e-12 * np.sqrt(norm_u_sq):
             break
+        R = dft_forward(residual).coeffs
+
+        def correlation(B, t0):
+            """<Tr_{x0} e^{-i t0 Delta^2} base, residual> for every lattice shift x0."""
+            P = B * np.exp(-1j * t0 * xi4)
+            return dft_inverse(SpectralField(g, np.conj(P) * R)).values
+
         best = None
-        for d_idx, shape in enumerate(dictionary):
-            for h in h_grid:
-                try:
-                    base = resample_linear(shape, np.eye(2) / h) if h != 1.0 else shape
-                    check_band_guard(dft_forward(base))
-                except (ValidationError, NumericalGuardError):
-                    # squeezed below what the lattice can represent
-                    continue
+        for d_idx, h, B in candidates:
+            def score(t0, _B=B):
+                return float(np.max(np.abs(correlation(_B, t0))))
 
-                def score(t0, _base=base):
-                    psi = evolve_quartic(_base, -t0) if t0 != 0.0 else _base
-                    return float(np.max(np.abs(_correlation_map(psi, residual))))
-
-                coarse = [(score(t0), t0) for t0 in t0_grid]
-                s0, t0c = max(coarse)
-                if len(t0_grid) > 1:
-                    step = t0_grid[1] - t0_grid[0]
-                    lo = max(t0c - step, t0_grid[0])
-                    hi = min(t0c + step, t0_grid[-1])
-                    t0_best, s_best = _golden_max(score, lo, hi)
-                    if s0 > s_best:
-                        t0_best, s_best = t0c, s0
-                else:
+            coarse = [(score(t0), t0) for t0 in t0_grid]
+            s0, t0c = max(coarse)
+            if len(t0_grid) > 1:
+                step = t0_grid[1] - t0_grid[0]
+                lo = max(t0c - step, t0_grid[0])
+                hi = min(t0c + step, t0_grid[-1])
+                t0_best, s_best = _golden_max(score, lo, hi)
+                if s0 > s_best:
                     t0_best, s_best = t0c, s0
-                if best is None or s_best > best[0]:
-                    best = (s_best, d_idx, h, t0_best)
-        s_best, d_idx, h, t0 = best
-        base = (resample_linear(dictionary[d_idx], np.eye(2) / h)
-                if h != 1.0 else dictionary[d_idx])
-        psi = evolve_quartic(base, -t0) if t0 != 0.0 else base
-        corr = _correlation_map(psi, residual)
+            else:
+                t0_best, s_best = t0c, s0
+            if best is None or s_best > best[0]:
+                best = (s_best, d_idx, h, t0_best, B)
+        _, d_idx, h, t0, B = best
+        corr = correlation(B, t0)
         i, j = np.unravel_index(np.argmax(np.abs(corr)), corr.shape)
-        x0 = (float(g.x[i]), float(g.x[j]))
-        atom = _translate(psi, np.asarray(x0))
+        p = SymmetryParams(h=h, x0=(float(g.x[i]), float(g.x[j])), t0=t0)
+        atom = apply_symmetry(dictionary[d_idx], p)
         atom = Field(g, atom.values / atom.l2_norm())
         coeff = inner_product(atom, residual)
         if abs(coeff) < coeff_floor * r_norm:
             break
         profiles.append(coeff * dictionary[d_idx])
-        params.append(SymmetryParams(h=h, x0=x0, t0=t0))
+        params.append(p)
         residual = residual - coeff * atom
 
     explained = sum(phi.l2_norm() ** 2 for phi in profiles)

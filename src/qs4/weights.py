@@ -20,7 +20,6 @@ from .grid import SpectralField
 
 __all__ = [
     "WeightParams",
-    "ConstraintTuple",
     "KernelReport",
     "DecayFitReport",
     "weight_f",
@@ -91,53 +90,20 @@ def weight_f(eta, p: WeightParams):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ConstraintTuple:
-    """Six frequencies on the quartic resonance surface b = 0.
-
-    Only the scalar constraint b is enforced; the vector constraint a (sum of
-    the first three minus the last three) is reported but free, since the
-    kernel bound only uses the b-support.
-    """
-
-    etas: np.ndarray
-
-    def __post_init__(self):
-        etas = np.asarray(self.etas, dtype=float)
-        if etas.shape != (6, 2) or not np.all(np.isfinite(etas)):
-            raise ValidationError(f"expected six finite frequencies, got shape {etas.shape}")
-        object.__setattr__(self, "etas", etas)
-        quart = np.sum(etas ** 2, axis=-1) ** 2
-        scale = quart.sum()
-        if scale > 0 and abs(self.b_value) > 1e-9 * scale:
-            raise ValidationError(
-                f"tuple violates the b-constraint: |b| = {abs(self.b_value):.3e} "
-                f"vs scale {scale:.3e}"
-            )
-
-    @property
-    def b_value(self) -> float:
-        quart = np.sum(self.etas ** 2, axis=-1) ** 2
-        return float(quart[:3].sum() - quart[3:].sum())
-
-    @property
-    def a_value(self) -> np.ndarray:
-        return self.etas[:3].sum(axis=0) - self.etas[3:].sum(axis=0)
-
-
-def sample_constraint_tuples(count: int, radius: float, rng_seed: int) -> list:
+def sample_constraint_tuples(count: int, radius: float, rng_seed: int) -> np.ndarray:
     """Draw eta_2..eta_6 uniformly in the ball, reject draws where the last
     three quartic powers fall short of the middle two, and solve for |eta_1|;
-    the b-constraint then holds by construction.  Deterministic in the seed."""
+    the b-constraint then holds by construction.  Returns the tuples as one
+    float (count, 6, 2) array, eta_1 first.  Deterministic in the seed."""
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     if radius <= 0:
         raise ValidationError(f"radius must be positive, got {radius}")
     rng = np.random.default_rng(rng_seed)
-    out = []
-    attempts = 0
-    while len(out) < count:
-        batch = 2 * (count - len(out)) + 16
+    batches = []
+    kept = attempts = 0
+    while kept < count:
+        batch = 2 * (count - kept) + 16
         attempts += batch
         r = radius * np.sqrt(rng.uniform(0, 1, (batch, 5)))
         th = rng.uniform(0, 2 * np.pi, (batch, 5))
@@ -146,43 +112,58 @@ def sample_constraint_tuples(count: int, radius: float, rng_seed: int) -> list:
         D = quart[:, 2:].sum(axis=1) - quart[:, :2].sum(axis=1)
         th1 = rng.uniform(0, 2 * np.pi, batch)
         keep = D >= 0
-        if attempts > 100 * count and len(out) + keep.sum() < 0.01 * attempts:
+        if attempts > 100 * count and kept + keep.sum() < 0.01 * attempts:
             raise ValidationError("rejection rate above 99%; radius pathologically configured")
         mag = D[keep] ** 0.25
         eta1 = np.stack([mag * np.cos(th1[keep]), mag * np.sin(th1[keep])], axis=-1)
-        for e1, rest in zip(eta1, pts[keep]):
-            out.append(ConstraintTuple(np.concatenate([e1[None], rest], axis=0)))
-            if len(out) == count:
-                break
-    return out
+        batches.append(np.concatenate([eta1[:, None], pts[keep]], axis=1))
+        kept += len(eta1)
+    return np.concatenate(batches)[:count]
 
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Extremes of exp(F(eta_1) - sum_{k=2}^6 F(eta_k)) over checked tuples."""
+    """Extremes of exp(F(eta_1) - sum_{k=2}^6 F(eta_k)) over checked tuples;
+    argmax is the maximizing (6, 2) tuple."""
 
     n_checked: int
     max_kernel: float
-    argmax: ConstraintTuple
+    argmax: np.ndarray
 
 
-def weight_kernel_check(tuples: list, p: WeightParams) -> KernelReport:
-    """Verify the kernel bound <= 1 + 1e-12 on every tuple; a violation is a
-    hard failure because it would falsify the subadditivity of the weight on
-    the resonance surface."""
-    if not tuples:
-        raise ValidationError("no tuples to check")
-    etas = np.stack([t.etas for t in tuples])
+def weight_kernel_check(tuples, p: WeightParams) -> KernelReport:
+    """Verify the kernel bound <= 1 + 1e-12 on every tuple of an (m, 6, 2)
+    array; a violation is a hard failure because it would falsify the
+    subadditivity of the weight on the resonance surface.
+
+    Rejects an empty or misshapen array, non-finite entries, and rows off the
+    resonance surface (|b| above 1e-9 of sum_k |eta_k|^4), where the bound
+    does not apply.  The vector constraint a (sum of the first three minus
+    the last three) stays free: the bound only uses the b-support.
+    """
+    etas = np.asarray(tuples, dtype=float)
+    if etas.ndim != 3 or etas.shape[1:] != (6, 2) or len(etas) == 0:
+        raise ValidationError(f"expected an (m, 6, 2) array with m >= 1, got shape {etas.shape}")
+    if not np.all(np.isfinite(etas)):
+        raise ValidationError("tuples contain non-finite frequencies")
+    quart = np.sum(etas ** 2, axis=-1) ** 2
+    b = np.abs(quart[:, :3].sum(axis=1) - quart[:, 3:].sum(axis=1))
+    off = b > 1e-9 * quart.sum(axis=1)
+    if np.any(off):
+        k = int(np.argmax(off))
+        raise ValidationError(
+            f"tuple {k} violates the b-constraint: |b| = {b[k]:.3e} "
+            f"vs scale {quart[k].sum():.3e}"
+        )
     F = weight_f(etas, p)
     log_kernel = F[:, 0] - F[:, 1:].sum(axis=1)
     i = int(np.argmax(log_kernel))
     best = float(np.exp(log_kernel[i]))
-    arg = tuples[i]
     if best > 1 + 1e-12:
         raise QS4Error(
             f"weight kernel bound violated: max exp(F1 - sum F_k) = {best:.17g}"
         )
-    return KernelReport(n_checked=len(tuples), max_kernel=best, argmax=arg)
+    return KernelReport(n_checked=len(etas), max_kernel=best, argmax=etas[i].copy())
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """FieldFile container, result emission, and the command-line entry point."""
 
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from qs4.cli import emit_results, parse_and_run, read_field, write_field
-from qs4.errors import ValidationError
+from qs4.errors import QS4Error, ValidationError
 from qs4.grid import Field, SpectralField, dft_forward, make_gaussian, make_grid, make_random_field
 
 
@@ -110,6 +111,28 @@ class TestExitCodes:
         assert rc == 1
         assert "integer" in capsys.readouterr().err
 
+    def test_kernel_bound_violation_is_check_failure(self, tmp_path, capsys, monkeypatch):
+        def violated(tuples, params):
+            raise QS4Error("weight kernel bound violated")
+
+        monkeypatch.setattr("qs4.cli.weight_kernel_check", violated)
+        rc = parse_and_run(["weight-check", "--count", "10",
+                            "--out", str(tmp_path / "o.json")])
+        assert rc == 3
+        assert "kernel bound violated" in capsys.readouterr().err
+
+
+class TestExtremizeCommand:
+    def test_beta_passed_through(self, tmp_path):
+        out = tmp_path / "e.json"
+        rc = parse_and_run(["extremize", "--grid-n", "32", "--extent", "16",
+                            "--nt", "33", "--iters", "3", "--beta", "0.5",
+                            "--out", str(out)])
+        assert rc == 0
+        data = json.loads(out.read_text())
+        assert data["config"]["beta"] == 0.5
+        assert data["results"]["beta_final"] <= 0.5
+
 
 class TestPropagate:
     def test_gaussian_default_seed(self, tmp_path):
@@ -174,7 +197,22 @@ class TestDecayFitCommand:
         assert rc == 1
 
 
+class TestProfileDemoCommand:
+    def test_defaults_pass_guards(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert parse_and_run(["profile-demo", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["n_profiles"] == 2
+
+
 class TestOscillatoryCommand:
+    def test_defaults_resolve_largest_time(self, tmp_path):
+        # leading stationary-phase term at X = 0: 2 pi / (T sqrt 48)
+        out = tmp_path / "osc.csv"
+        assert parse_and_run(["oscillatory-check", "--out", str(out)]) == 0
+        T, _, value = (float(v) for v in out.read_text().splitlines()[-1].split(","))
+        leading = 2 * math.pi / (T * math.sqrt(48.0))
+        assert abs(value - leading) / leading <= 1e-3
+
     def test_small_scan_decays(self, tmp_path):
         out = tmp_path / "osc.csv"
         rc = parse_and_run(["oscillatory-check", "--grid-n", "512",

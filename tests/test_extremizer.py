@@ -40,11 +40,6 @@ class TestIterationConfig:
         with pytest.raises(ValidationError):
             IterationConfig(grid=grid, window=window, tol_residual=0.0)
         with pytest.raises(ValidationError):
-            IterationConfig(grid=grid, window=window, step_mode="newton")
-        with pytest.raises(ValidationError):
-            IterationConfig(grid=grid, window=window, step_mode="fixed-point",
-                            beta=0.5)
-        with pytest.raises(ValidationError):
             IterationConfig(grid=grid, window=window, beta=1.5)
 
     def test_seed_is_unit_norm(self, grid, window):

@@ -5,7 +5,7 @@ import pytest
 
 from qs4.errors import ValidationError
 from qs4.functional import TimeWindow, spacetime_norm, strichartz_quotient
-from qs4.grid import make_gaussian, make_grid
+from qs4.grid import make_gaussian, make_grid, make_random_field
 from qs4.profiles import (
     DecompositionResult,
     SymmetryParams,
@@ -162,6 +162,21 @@ class TestExtractProfiles:
         assert result.remainder.l2_norm() < 0.05 * u.l2_norm()
         assert result.l2_defect < 1e-3
 
+    def test_remainder_is_projection_onto_reported_atoms(self, separated_setup):
+        # full scale and time-shift search; the reported group elements must
+        # rebuild the atoms that were projected out
+        g, phi, _, u = separated_setup
+        w = TimeWindow(2.0, 33)
+        result = extract_profiles(u, [phi], 2, w, compute_strichartz=False)
+        assert len(result.params) == 2
+        remainder = u
+        for p in result.params:
+            atom = apply_symmetry(phi, p)
+            atom = atom * (1.0 / atom.l2_norm())
+            coeff = np.vdot(atom.values, remainder.values) * g.spacing ** 2
+            remainder = remainder - coeff * atom
+        assert (remainder - result.remainder).l2_norm() <= 1e-12 * u.l2_norm()
+
     def test_stops_at_coeff_floor(self, separated_setup):
         g, phi, (p1, p2), u = separated_setup
         w = TimeWindow(2.0, 33)
@@ -174,3 +189,7 @@ class TestExtractProfiles:
             extract_profiles(bump, [], 1, w)
         with pytest.raises(ValidationError):
             extract_profiles(bump, [bump], 0, w)
+        # a shape with mass at the lattice edge has no admissible scale here
+        edge = make_random_field(bump.grid, 0, band_radius=bump.grid.nyquist)
+        with pytest.raises(ValidationError):
+            extract_profiles(bump, [edge], 1, w, h_grid=[1.0])

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qs4.errors import ValidationError
 from qs4.grid import SpectralField, dft_forward, make_gaussian, make_grid
 from qs4.weights import (
-    ConstraintTuple,
     WeightParams,
     decay_fit,
     sample_constraint_tuples,
@@ -54,40 +55,43 @@ class TestWeightF:
         assert np.all(np.diff(vals) >= 0)
 
 
-class TestConstraintTuple:
-    def test_b_constraint_enforced(self):
-        etas = np.zeros((6, 2))
-        etas[0] = (1.0, 0.0)
-        with pytest.raises(ValidationError):
-            ConstraintTuple(etas)
-
-    def test_balanced_tuple_accepted(self):
-        etas = np.zeros((6, 2))
-        etas[0] = (1.0, 0.0)
-        etas[3] = (0.0, 1.0)
-        t = ConstraintTuple(etas)
-        assert abs(t.b_value) < 1e-12
-        assert np.allclose(t.a_value, (1.0, -1.0))
-
-
 class TestSampler:
     def test_deterministic(self):
         a = sample_constraint_tuples(50, 3.0, 42)
         b = sample_constraint_tuples(50, 3.0, 42)
-        for ta, tb in zip(a, b):
-            assert np.array_equal(ta.etas, tb.etas)
+        assert np.array_equal(a, b)
 
     def test_all_on_surface(self):
-        for t in sample_constraint_tuples(200, 3.0, 0):
-            quart = np.sum(t.etas ** 2, axis=-1) ** 2
-            assert abs(quart[:3].sum() - quart[3:].sum()) <= 1e-9 * quart.sum()
+        etas = sample_constraint_tuples(200, 3.0, 0)
+        quart = np.sum(etas ** 2, axis=-1) ** 2
+        b = quart[:, :3].sum(axis=1) - quart[:, 3:].sum(axis=1)
+        assert np.all(np.abs(b) <= 1e-9 * quart.sum(axis=1))
 
     def test_count_and_radius(self):
-        tuples = sample_constraint_tuples(25, 2.0, 1)
-        assert len(tuples) == 25
-        for t in tuples:
-            # eta_2..eta_6 drawn in the ball; eta_1 solved, can only be smaller
-            assert np.all(np.sum(t.etas ** 2, axis=-1) <= (2.0 ** 2) * 3 + 1e-9)
+        etas = sample_constraint_tuples(25, 2.0, 1)
+        assert etas.dtype == np.float64
+        assert etas.shape == (25, 6, 2)
+        # eta_2..eta_6 drawn in the ball; eta_1 solved, can only be smaller
+        assert np.all(np.sum(etas ** 2, axis=-1) <= (2.0 ** 2) * 3 + 1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(count=st.integers(1, 300), radius=st.floats(0.1, 10.0),
+           seed=st.integers(0, 2 ** 32 - 1), eps=st.floats(0.0, 10.0))
+    def test_property_on_surface_and_bounded(self, count, radius, seed, eps):
+        etas = sample_constraint_tuples(count, radius, seed)
+        assert etas.shape == (count, 6, 2)
+        quart = np.sum(etas ** 2, axis=-1) ** 2
+        b = quart[:, :3].sum(axis=1) - quart[:, 3:].sum(axis=1)
+        assert np.all(np.abs(b) <= 1e-9 * quart.sum(axis=1))
+        report = weight_kernel_check(etas, WeightParams(mu=1.0, eps=eps))
+        assert report.max_kernel <= 1 + 1e-12
+
+
+def _balanced():
+    etas = np.zeros((6, 2))
+    etas[0] = (1.0, 0.0)
+    etas[3] = (0.0, 1.0)
+    return etas
 
 
 class TestKernelBound:
@@ -101,6 +105,28 @@ class TestKernelBound:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             weight_kernel_check([], WeightParams())
+
+    def test_balanced_tuple_accepted(self):
+        report = weight_kernel_check([_balanced()], WeightParams(mu=1.0, eps=0.1))
+        assert report.n_checked == 1
+        assert report.max_kernel == 1.0
+        assert np.array_equal(report.argmax, _balanced())
+
+    def test_off_surface_row_rejected(self):
+        etas = np.stack([_balanced(), _balanced()])
+        etas[1, 3] = 0.0
+        with pytest.raises(ValidationError, match="b-constraint"):
+            weight_kernel_check(etas, WeightParams())
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValidationError):
+            weight_kernel_check(np.zeros((3, 5, 2)), WeightParams())
+
+    def test_non_finite_rejected(self):
+        etas = _balanced()[None].copy()
+        etas[0, 4, 1] = np.nan
+        with pytest.raises(ValidationError):
+            weight_kernel_check(etas, WeightParams())
 
 
 class TestDecayFit:
