@@ -70,17 +70,21 @@ class SeparatedPair:
                 raise ValidationError(f"{name} has spectral mass outside its band")
 
 
+def _check_annulus_in_band(grid: Grid2D, s: float, N: float) -> None:
+    if 2 * N * s > BAND_GUARD_FRACTION * grid.nyquist:
+        raise ValidationError(
+            f"annulus edge {2 * N * s:.2f} exceeds the guarded band "
+            f"{BAND_GUARD_FRACTION * grid.nyquist:.2f}; enlarge the grid or shrink the scan"
+        )
+
+
 def make_separated_pair(grid: Grid2D, s: float, N: float, seed: int,
                         envelope_width: float | None = None) -> SeparatedPair:
     """Seeded random pair: independent localized noise, band-limited to the
     ball and the annulus respectively, both L2-normalized."""
     if s < 2 * (2 * np.pi / grid.extent):
         raise ValidationError(f"ball radius {s} too small for the frequency lattice")
-    if 2 * N * s > BAND_GUARD_FRACTION * grid.nyquist:
-        raise ValidationError(
-            f"annulus edge {2 * N * s:.2f} exceeds the guarded band "
-            f"{BAND_GUARD_FRACTION * grid.nyquist:.2f}"
-        )
+    _check_annulus_in_band(grid, s, N)
     if envelope_width is None:
         envelope_width = grid.extent / 10
     f = make_random_field(grid, seed, band_radius=grid.nyquist / 2,
@@ -145,7 +149,9 @@ def decay_scan(grid: Grid2D, s: float, n_values, seeds, w: TimeWindow,
     shrink like N^-3.  Each separation therefore gets the window rescaled by
     (N0/N)^3 with the node count held fixed: the window is self-similar across
     the ladder, covers the whole interaction, and keeps re-entry artifacts out.
-    w sets the base window for the smallest separation.
+    w sets the base window for the smallest separation.  The largest
+    separation's annulus must lie inside the guarded band; that is checked
+    before any pair is built.
     """
     n_values = [float(N) for N in n_values]
     if len(n_values) < 4:
@@ -156,6 +162,7 @@ def decay_scan(grid: Grid2D, s: float, n_values, seeds, w: TimeWindow,
     seeds = list(seeds)
     if not seeds:
         raise ValidationError("need at least one seed")
+    _check_annulus_in_band(grid, s, n_values[-1])
 
     medians = []
     per_seed = []

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalGuardError, QS4Error, ValidationError
-from .grid import Field, SpectralField, make_gaussian, make_grid
+from .grid import Field, SpectralField, dft_forward, make_gaussian, make_grid
 from .functional import TimeWindow
 from .propagator import evolve_quartic, evolve_schrodinger
 from .extremizer import IterationConfig, run_iteration
@@ -349,12 +349,6 @@ def _run_modulation_scan(args) -> None:
 
 def _run_bilinear_scan(args) -> None:
     g = make_grid(args.grid_n, args.extent)
-    top = 2.0 * max(args.n_values) * args.scale
-    if top > 0.9 * g.nyquist:
-        raise ValidationError(
-            f"largest separation band reaches |xi| = {top:.3g}, beyond the guarded "
-            f"Nyquist limit {0.9 * g.nyquist:.3g}; enlarge the grid or shrink the scan"
-        )
     w = TimeWindow(args.t_max, args.nt)
     fit = decay_scan(g, args.scale, args.n_values, args.seeds, w,
                      envelope_width=args.envelope_width)
@@ -391,7 +385,6 @@ def _run_weight_check(args) -> None:
 def _run_decay_fit(args) -> None:
     f = read_field(args.input)
     if isinstance(f, Field):
-        from .grid import dft_forward
         f = dft_forward(f)
     report = decay_fit(f, args.r_min)
     results = {
@@ -414,7 +407,7 @@ def _run_profile_demo(args) -> None:
         [SymmetryParams(h=1.0, x0=(shift / 2, 0.0)) for _ in range(args.index + 1)],
     ]
     u = synthesize_sequence([phi, phi], seqs, args.index, args.noise, args.seed)
-    result = extract_profiles(u, phi, 2, w, compute_strichartz=False)
+    result = extract_profiles(u, phi, 2, w)
     l2_defect, st_defect = orthogonality_defect(u, result, w)
     results = {
         "n_profiles": len(result.profiles),

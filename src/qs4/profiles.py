@@ -107,7 +107,6 @@ class DecompositionResult:
     params: list
     remainder: Field
     l2_defect: float
-    strichartz_defect: float
 
 
 def synthesize_sequence(profiles: list, param_seqs: list, n_index: int,
@@ -183,8 +182,7 @@ def _golden_max(fun, a: float, b: float, tol: float = 1e-3) -> tuple:
 
 
 def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindow,
-                     h_grid=None, t0_grid=None, coeff_floor: float = 0.1,
-                     compute_strichartz: bool = True) -> DecompositionResult:
+                     h_grid=None, t0_grid=None, coeff_floor: float = 0.1) -> DecompositionResult:
     """Greedy matched-filter decomposition of u against a dictionary of shapes.
 
     Each stage scans dictionary element, dyadic scale, and a time-shift grid
@@ -270,9 +268,4 @@ def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindo
 
     explained = sum(phi.l2_norm() ** 2 for phi in profiles)
     l2_defect = abs(norm_u_sq - explained - residual.l2_norm() ** 2) / norm_u_sq
-    if compute_strichartz and profiles:
-        result = DecompositionResult(profiles, params, residual, l2_defect, 0.0)
-        _, s_defect = orthogonality_defect(u, result, w)
-    else:
-        s_defect = float("nan")
-    return DecompositionResult(profiles, params, residual, float(l2_defect), float(s_defect))
+    return DecompositionResult(profiles, params, residual, float(l2_defect))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from qs4.asymptotics import (
     dominating_function_check,
@@ -9,7 +10,7 @@ from qs4.asymptotics import (
     oscillatory_integral,
     phase_phi_n,
 )
-from qs4.errors import ValidationError
+from qs4.errors import SupportGuardError, ValidationError
 from qs4.functional import TimeWindow
 from qs4.grid import SpectralField, make_gaussian, make_grid
 
@@ -52,6 +53,28 @@ class TestModulationScan:
         phi = make_gaussian(g, width=0.8)
         with pytest.raises(ValidationError):
             modulation_scan(phi, [8.0, 4.0], (1.0, 0.0), TimeWindow(2.0, 33))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_limit_reference_closed_form(self, theta):
+        # A0 leaves the unit Gaussian of width w with widths a1 = w/sqrt 6 and
+        # a2 = w/sqrt 2, whose free sixth power integrates in x to
+        # (3 pi^2 a1^2 a2^2)^-1 prod_j (1 + 4 T^2 / a_j^4)^-1
+        w, t_max = 0.8, 3.0
+        a1, a2 = w / np.sqrt(6.0), w / np.sqrt(2.0)
+        sixth, _ = quad(lambda T: 1.0 / (3 * np.pi ** 2 * a1 ** 2 * a2 ** 2)
+                        / ((1 + 4 * T ** 2 / a1 ** 4) * (1 + 4 * T ** 2 / a2 ** 4)),
+                        -t_max, t_max, epsabs=0.0, epsrel=1e-13, limit=200)
+        closed = (2 * np.sqrt(3.0)) ** (-1.0 / 3.0) * sixth ** (1.0 / 6.0)
+        phi = make_gaussian(make_grid(256, 16.0), width=w)
+        scan = modulation_scan(phi, [4.0, 8.0], (np.cos(theta), np.sin(theta)),
+                               TimeWindow(t_max, 161))
+        assert abs(scan.limit_reference - closed) / closed < 2e-3
+
+    def test_rejects_off_centre_bump(self):
+        g = make_grid(64, 16.0)
+        phi = make_gaussian(g, center=(5.0, 5.0), width=0.8)
+        with pytest.raises(SupportGuardError):
+            modulation_scan(phi, [4.0, 8.0], (1.0, 0.0), TimeWindow(2.0, 33))
 
     def test_rejects_carrier_outside_band(self):
         g = make_grid(64, 16.0)

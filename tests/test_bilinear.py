@@ -130,6 +130,16 @@ class TestDecayScan:
         with pytest.raises(ValidationError):
             decay_scan(g, 0.5, [4.0, 8.0, 12.0, 16.0], [0], TimeWindow(0.5, 17))
 
+    def test_rejects_ladder_beyond_band(self, monkeypatch):
+        # the largest annulus is checked before any pair is built
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("a pair was built")
+
+        monkeypatch.setattr("qs4.bilinear.make_separated_pair", no_pairs)
+        g = make_grid(64, 16.0)
+        with pytest.raises(ValidationError, match="guarded band"):
+            decay_scan(g, 0.5, [2.0, 4.0, 8.0, 16.0], [0], TimeWindow(0.5, 17))
+
 
 class TestJacobian:
     def test_closed_form(self):

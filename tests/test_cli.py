@@ -111,6 +111,20 @@ class TestExitCodes:
         assert rc == 1
         assert "integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_values, message", [
+        ("4,8,16,64", "geometric ladder"),
+        ("4,8,16,32", "guarded band"),
+    ])
+    def test_bad_bilinear_ladder_is_config_error(self, tmp_path, capsys, n_values, message):
+        # both fail before any pair is built: the ladder is not geometric, or
+        # its largest annulus leaves the guarded band of the 64^2 lattice
+        out = tmp_path / "o.json"
+        rc = parse_and_run(["bilinear-scan", "--grid-n", "64", "--n-values", n_values,
+                            "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_kernel_bound_violation_is_check_failure(self, tmp_path, capsys, monkeypatch):
         def violated(tuples, params):
             raise QS4Error("weight kernel bound violated")

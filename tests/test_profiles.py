@@ -141,8 +141,7 @@ class TestOrthogonalityDefect:
     def test_separated_bubbles_nearly_pythagorean(self, separated_setup):
         g, phi, (p1, p2), u = separated_setup
         w = TimeWindow(2.0, 33)
-        result = DecompositionResult([phi, phi], [p1, p2],
-                                     0.0 * phi, 0.0, 0.0)
+        result = DecompositionResult([phi, phi], [p1, p2], 0.0 * phi, 0.0)
         l2_d, s_d = orthogonality_defect(u, result, w)
         assert l2_d < 1e-3
         assert s_d < 1e-2
@@ -167,7 +166,7 @@ class TestExtractProfiles:
         # rebuild the atoms that were projected out
         g, phi, _, u = separated_setup
         w = TimeWindow(2.0, 33)
-        result = extract_profiles(u, [phi], 2, w, compute_strichartz=False)
+        result = extract_profiles(u, [phi], 2, w)
         assert len(result.params) == 2
         remainder = u
         for p in result.params:

@@ -7,7 +7,6 @@ from qs4.errors import NyquistGuardError, SupportGuardError, ValidationError
 from qs4.grid import Field, SpectralField, dft_forward, inner_product, make_gaussian, make_grid, make_random_field
 from qs4.propagator import (
     LinearMapA0,
-    apply_a0,
     check_band_guard,
     evolve_quartic,
     evolve_schrodinger,
@@ -149,11 +148,20 @@ class TestResample:
         out = resample_linear(f, 2.0 * np.eye(2))
         assert abs(out.l2_norm() - 1.0) < 1e-6
 
-    def test_apply_a0_unitary(self):
+    def test_anisotropic_gaussian_closed_form(self):
+        # diag(sqrt 6, sqrt 2) is A0 for the direction (1, 0)
         g = make_grid(128, 32.0)
-        f = make_gaussian(g, width=1.0)
-        out = apply_a0(f, LinearMapA0((1.0, 0.0)))
-        assert abs(out.l2_norm() - 1.0) < 1e-6
+        w = 1.0
+        vals = np.exp(-(g.x[:, None] ** 2 + g.x[None, :] ** 2) / (2 * w ** 2))
+        out = resample_linear(Field(g, vals), np.diag([np.sqrt(6.0), np.sqrt(2.0)]))
+        expected = 12.0 ** 0.25 * np.exp(-(6 * g.x[:, None] ** 2 + 2 * g.x[None, :] ** 2) / (2 * w ** 2))
+        assert np.max(np.abs(out.values - expected)) < 1e-8
+
+    def test_off_diagonal_rejected(self):
+        g = make_grid(64, 16.0)
+        f = make_gaussian(g, width=0.8)
+        with pytest.raises(ValidationError):
+            resample_linear(f, LinearMapA0((np.cos(0.7), np.sin(0.7))).matrix)
 
     def test_gaussian_dilation_closed_form(self):
         g = make_grid(128, 32.0)
