@@ -57,7 +57,7 @@ class SeparatedPair:
     def __post_init__(self):
         if self.s <= 0 or self.N < 2:
             raise ValidationError(f"need s > 0 and N >= 2, got s={self.s}, N={self.N}")
-        if not self.f.grid.same_as(self.g.grid):
+        if self.f.grid != self.g.grid:
             raise ValidationError("pair members live on different grids")
         for field, lo, hi, name in (
             (self.f, 0.0, self.s, "ball factor"),

@@ -376,7 +376,7 @@ def _run_weight_check(args) -> None:
     results = {
         "n_checked": report.n_checked,
         "max_kernel": report.max_kernel,
-        "argmax_etas": report.argmax.tolist(),
+        "argmax_etas": report.argmax,
         "params": params.to_dict(),
     }
     emit_results({"config": _config_echo(args), "results": results}, "json", args.out)

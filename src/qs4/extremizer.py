@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 _MIN_BETA = 1e-3
+# A step may lower the quotient by this much and still be accepted.
+_ASCENT_SLACK = 1e-8
+# Random probes of the weak form in diagnostics().
+_N_PAIRINGS = 10
 
 
 @dataclass(frozen=True)
@@ -47,27 +51,23 @@ class IterationConfig:
     window: TimeWindow
     max_iters: int = 500
     tol_residual: float = 1e-3
-    tol_quotient_delta: float = 1e-8
     beta: float = 1.0
     seed_width: float = 0.8
-    seed_center: tuple = (0.0, 0.0)
-    seed_modulation: tuple = (0.0, 0.0)
     seed_noise: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol_residual <= 0 or self.tol_quotient_delta <= 0:
-            raise ValidationError("tolerances must be positive")
+        if self.tol_residual <= 0:
+            raise ValidationError("tol_residual must be positive")
         if not 0 < self.beta <= 1:
             raise ValidationError(f"beta must lie in (0, 1], got {self.beta}")
         if self.seed_noise < 0:
             raise ValidationError("seed_noise must be >= 0")
 
     def make_seed(self) -> Field:
-        f = make_gaussian(self.grid, center=self.seed_center, width=self.seed_width,
-                          modulation=self.seed_modulation)
+        f = make_gaussian(self.grid, width=self.seed_width)
         if self.seed_noise > 0:
             noise = make_random_field(self.grid, self.rng_seed,
                                       band_radius=0.5 * self.grid.nyquist,
@@ -101,10 +101,6 @@ class DiagnosticsSummary:
     residual_refined: float
     pairing_errors: tuple
 
-    @property
-    def pairing_max(self) -> float:
-        return max(self.pairing_errors)
-
 
 def _normalize(f: Field) -> Field:
     nrm = f.l2_norm()
@@ -113,19 +109,17 @@ def _normalize(f: Field) -> Field:
     return Field(f.grid, f.values / nrm)
 
 
-def _evaluate(f: Field, w: TimeWindow, band: float | None = None) -> tuple:
+def _evaluate(f: Field, w: TimeWindow) -> tuple:
     """(Lambda f, omega, quotient, residual) for unit-norm f.
 
-    When a band radius is given, Lambda(f) is projected onto it before the
-    residual is formed: the ascent maximizes over that band-limited subspace,
-    so its stationarity condition involves the projected operator, and the
-    mass the anti-aliasing guard discards must not be charged against the
-    fixed-point defect.  The multiplier is unchanged by the projection because
-    f itself is band-limited.
+    Lambda(f) is projected onto the guarded band (BAND_GUARD_FRACTION of the
+    Nyquist radius) before the residual is formed: the ascent maximizes over
+    that band-limited subspace, so its stationarity condition involves the
+    projected operator, and the mass the anti-aliasing guard discards must not
+    be charged against the fixed-point defect.  The multiplier is unchanged by
+    the projection because f itself is band-limited.
     """
-    lam = el_map(f, w)
-    if band is not None:
-        lam = spectral_cutoff(lam, 0.0, band)
+    lam = spectral_cutoff(el_map(f, w), 0.0, BAND_GUARD_FRACTION * f.grid.nyquist)
     omega = float(inner_product(f, lam).real)
     lam_norm = lam.l2_norm()
     residual = (lam - omega * f).l2_norm() / lam_norm
@@ -135,7 +129,7 @@ def _evaluate(f: Field, w: TimeWindow, band: float | None = None) -> tuple:
 def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> ExtremizerReport:
     """Iterate f <- normalize((1 - beta) f + beta Lambda(f)/||Lambda(f)||).
 
-    Any step that lowers the quotient by more than tol_quotient_delta is
+    Any step that lowers the quotient by more than _ASCENT_SLACK is
     rejected and beta halved; below beta = 1e-3 the run aborts as divergent.
     The recorded quotient history therefore contains accepted steps only and
     is nondecreasing up to the tolerance.
@@ -153,14 +147,14 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
         return _normalize(spectral_cutoff(f, 0.0, band))
 
     if initial is not None:
-        if not initial.grid.same_as(cfg.grid):
+        if initial.grid != cfg.grid:
             raise ValidationError("initial field grid does not match the config grid")
         f = confine(initial)
     else:
         f = confine(cfg.make_seed())
 
     beta = cfg.beta
-    lam, omega, quotient, residual = _evaluate(f, cfg.window, band)
+    lam, omega, quotient, residual = _evaluate(f, cfg.window)
     history = [quotient]
     converged = residual < cfg.tol_residual
     n_iters = 1
@@ -168,9 +162,9 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
     while not converged and n_iters < cfg.max_iters:
         step = (1 - beta) * f + (beta / lam.l2_norm()) * lam
         candidate = confine(step)
-        lam_c, omega_c, q_c, res_c = _evaluate(candidate, cfg.window, band)
+        lam_c, omega_c, q_c, res_c = _evaluate(candidate, cfg.window)
         n_iters += 1
-        if q_c < quotient - cfg.tol_quotient_delta:
+        if q_c < quotient - _ASCENT_SLACK:
             beta /= 2
             if beta < _MIN_BETA:
                 raise DivergenceError(
@@ -227,22 +221,22 @@ def recenter(f: Field) -> tuple:
     return out, SymmetryParams(h=sigma, x0=tuple(xbar))
 
 
-def diagnostics(report: ExtremizerReport, w: TimeWindow, n_pairings: int = 10) -> DiagnosticsSummary:
+def diagnostics(report: ExtremizerReport, w: TimeWindow) -> DiagnosticsSummary:
     """Recompute the reported quotient and residual at doubled time resolution
     and probe the weak form <g, Lambda f> = omega <g, f> with random fields.
 
     The refined residual projects Lambda f onto the guarded band, the same
     stationarity condition that run_iteration converges to."""
     f = _normalize(report.final_field)
-    fine = w.refined(2)
-    q_fine = spacetime_norm(f, 6, 0.0, fine)
+    fine = w.refined()
+    q_fine = spacetime_norm(f, fine)
     q_rep = report.quotient_history[-1] if report.quotient_history else float("nan")
     disc = abs(q_fine - q_rep) / q_fine if np.isfinite(q_rep) else float("inf")
     flagged = not np.isfinite(q_rep) or disc > 0.01
 
-    lam, omega, _, residual_fine = _evaluate(f, fine, BAND_GUARD_FRACTION * f.grid.nyquist)
+    lam, omega, _, residual_fine = _evaluate(f, fine)
     errors = []
-    for k in range(n_pairings):
+    for k in range(_N_PAIRINGS):
         probe = make_random_field(f.grid, 1000 + k, band_radius=0.3 * f.grid.nyquist,
                                   envelope_width=f.grid.extent / 8)
         lhs = inner_product(probe, lam)

@@ -1,5 +1,5 @@
-"""Space-time norms, the Strichartz quotient, the 6-linear form Q, and the
-Euler-Lagrange map.
+"""The L^6 space-time norm, the Strichartz quotient, the 6-linear form Q, and
+the Euler-Lagrange map.
 
 Time integrals over R are truncated to a symmetric window [-t_max, t_max] and
 evaluated by the composite trapezoid rule; window_norm accepts a window only
@@ -9,12 +9,13 @@ of the accumulated p-th power.
 All four quantities, and the bilinear product norm, run on one kernel,
 evolve_padded.  It evolves the spectra to a chunk of time nodes, embeds them
 zero-padded by PAD_FACTOR per axis and inverse-transforms them, so pointwise
-products (the |u|^4 u quintic, Q's six-fold product, the p-th power inside
-the norms) are formed on the refined lattice and the working band is never
+products (the |u|^4 u quintic, Q's six-fold product, the sixth power inside
+the norm) are formed on the refined lattice and the working band is never
 contaminated by wrapped frequencies.  A per-chunk operation supplied by the
 caller reduces the padded samples, and the kernel keeps only its small
 result: each chunk's padded arrays are freed before the next chunk is
-evolved, so the working memory is one chunk's worth.
+evolved.  A chunk holds at most _TIME_CHUNK nodes and _CHUNK_BYTES of padded
+samples (but at least one node), so memory stays bounded at any lattice size.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .propagator import check_band_guard
 
 __all__ = [
     "TimeWindow",
-    "QuotientValue",
     "evolve_padded",
     "window_norm",
     "spacetime_slices",
@@ -48,6 +48,8 @@ PAD_FACTOR = 3
 # truncation error of the norm itself well below 0.1%.
 TAIL_FRACTION = 1e-3
 _TIME_CHUNK = 16
+# Padded-sample budget of one chunk: 16 nodes of two pad-2 operands at n=256.
+_CHUNK_BYTES = 128 << 20
 
 
 @dataclass(frozen=True)
@@ -74,21 +76,9 @@ class TimeWindow:
         w[0] = w[-1] = dt / 2
         return w
 
-    def refined(self, factor: int = 2) -> "TimeWindow":
-        return TimeWindow(self.t_max, factor * (self.n_t - 1) + 1)
-
-
-@dataclass(frozen=True)
-class QuotientValue:
-    """Strichartz quotient ||e^{it Delta^2} u||_6 / ||u||_2, a lower bound on
-    the sharp constant."""
-
-    numerator: float
-    denominator: float
-
-    @property
-    def quotient(self) -> float:
-        return self.numerator / self.denominator
+    def refined(self) -> "TimeWindow":
+        """The same window with the node spacing halved."""
+        return TimeWindow(self.t_max, 2 * self.n_t - 1)
 
 
 def _padded_inverse(coeffs: np.ndarray, pad: int, extent: float) -> np.ndarray:
@@ -114,7 +104,8 @@ def evolve_padded(grid: Grid2D, spectra: list, symbol: np.ndarray, times: np.nda
                   op, pad: int = PAD_FACTOR) -> list:
     """The padded-evolution kernel: [op(chunk, phases, us) for each time chunk].
 
-    `times` is cut into chunks of at most _TIME_CHUNK nodes.  For each,
+    `times` is cut into chunks of at most _TIME_CHUNK nodes and _CHUNK_BYTES
+    of padded samples over all spectra (but at least one node).  For each,
     `chunk` is the slice of `times` it covers, `phases` is
     exp(i times[chunk] symbol) with shape (len, n, n), and `us[k]` holds the
     samples of spectra[k] (centered coefficients on `grid`) evolved to those
@@ -123,9 +114,10 @@ def evolve_padded(grid: Grid2D, spectra: list, symbol: np.ndarray, times: np.nda
     op must reduce them to a small result.
     """
     signed = [grid.alt_sign * c for c in spectra]
+    step = max(1, min(_TIME_CHUNK, _CHUNK_BYTES // (len(spectra) * 16 * (pad * grid.n) ** 2)))
     results = []
-    for lo in range(0, len(times), _TIME_CHUNK):
-        chunk = slice(lo, lo + _TIME_CHUNK)
+    for lo in range(0, len(times), step):
+        chunk = slice(lo, lo + step)
         phases = np.exp(1j * times[chunk, None, None] * symbol[None, :, :])
         results.append(op(chunk, phases, [_padded_inverse(c * phases, pad, grid.extent)
                                           for c in signed]))
@@ -149,43 +141,35 @@ def window_norm(slices: np.ndarray, w: TimeWindow, p: float, what: str,
     return total ** (1.0 / p)
 
 
-def spacetime_slices(F: SpectralField, symbol: np.ndarray, w: TimeWindow, p: float,
-                     pre_multiplier: np.ndarray | None = None, pad: int = PAD_FACTOR) -> np.ndarray:
-    """Per-node integrand slices sum_x |D^s e^{it symbol} f|^p on the padded grid.
+def spacetime_slices(F: SpectralField, symbol: np.ndarray, w: TimeWindow) -> np.ndarray:
+    """Per-node integrand slices sum_x |e^{it symbol} f|^6 on the padded grid.
 
     `symbol` is the real multiplier phase (the evolution is exp(i t symbol)).
     """
     g = F.grid
-    coeffs = F.coeffs if pre_multiplier is None else F.coeffs * pre_multiplier
-    quad = (g.extent / (pad * g.n)) ** 2
+    quad = (g.extent / (PAD_FACTOR * g.n)) ** 2
 
     def powers(chunk, phases, us):
         u, = us
-        return np.sum((u.real ** 2 + u.imag ** 2) ** (p / 2.0), axis=(-2, -1)) * quad
+        return np.sum((u.real ** 2 + u.imag ** 2) ** 3.0, axis=(-2, -1)) * quad
 
-    return np.concatenate(evolve_padded(g, [coeffs], symbol, w.nodes, powers, pad))
+    return np.concatenate(evolve_padded(g, [F.coeffs], symbol, w.nodes, powers))
 
 
-def spacetime_norm(f: Field, p: float, frac_order: float, w: TimeWindow) -> float:
-    """(sum_t w_t sum_x |D^s e^{it Delta^2} f|^p)^(1/p) over the window."""
-    if p not in (3, 4, 6):
-        raise ValidationError(f"exponent p must be one of 3, 4, 6, got {p}")
-    if frac_order < 0:
-        raise ValidationError(f"frac_order must be >= 0, got {frac_order}")
+def spacetime_norm(f: Field, w: TimeWindow) -> float:
+    """(sum_t w_t sum_x |e^{it Delta^2} f|^6)^(1/6) over the window."""
     F = dft_forward(f)
     check_band_guard(F)
-    g = f.grid
-    pre = g.xi_abs ** frac_order if frac_order > 0 else None
-    slices = spacetime_slices(F, g.xi_sq ** 2, w, p, pre_multiplier=pre)
-    return window_norm(slices, w, p, f"space-time L^{p} norm")
+    slices = spacetime_slices(F, f.grid.xi_sq ** 2, w)
+    return window_norm(slices, w, 6, "space-time L^6 norm")
 
 
-def strichartz_quotient(f: Field, w: TimeWindow) -> QuotientValue:
-    """||e^{it Delta^2} f||_{L^6_{t,x}} / ||f||_2."""
+def strichartz_quotient(f: Field, w: TimeWindow) -> float:
+    """||e^{it Delta^2} f||_6 / ||f||_2, a lower bound on the sharp constant."""
     denom = f.l2_norm()
     if denom == 0:
         raise ValidationError("Strichartz quotient of the zero field")
-    return QuotientValue(spacetime_norm(f, 6, 0.0, w), denom)
+    return spacetime_norm(f, w) / denom
 
 
 def q_form(f1: Field, f2: Field, f3: Field, f4: Field, f5: Field, f6: Field,
@@ -197,7 +181,7 @@ def q_form(f1: Field, f2: Field, f3: Field, f4: Field, f5: Field, f6: Field,
     fields = (f1, f2, f3, f4, f5, f6)
     g = f1.grid
     for f in fields[1:]:
-        if not f.grid.same_as(g):
+        if f.grid != g:
             raise ValidationError("q_form operands live on different grids")
     operands = {id(f): f for f in fields}
     slots = [list(operands).index(id(f)) for f in fields]

@@ -40,6 +40,10 @@ __all__ = [
     "extract_profiles",
 ]
 
+# A stage whose matched coefficient falls below this fraction of the
+# residual norm ends the extraction.
+_COEFF_FLOOR = 0.1
+
 
 @dataclass(frozen=True)
 class SymmetryParams:
@@ -134,7 +138,7 @@ def synthesize_sequence(profiles: list, param_seqs: list, n_index: int,
     g = profiles[0].grid
     total = np.zeros((g.n, g.n), dtype=complex)
     for phi, p in zip(profiles, params):
-        if not phi.grid.same_as(g):
+        if phi.grid != g:
             raise ValidationError("profiles live on different grids")
         total += apply_symmetry(phi, p).values
     if noise_amp != 0.0:
@@ -155,10 +159,10 @@ def orthogonality_defect(u: Field, result: DecompositionResult, w: TimeWindow) -
     l2_sum = sum(piece.l2_norm() ** 2 for piece in pieces) + result.remainder.l2_norm() ** 2
     l2_defect = abs(l2_u - l2_sum) / l2_u
 
-    s_u = spacetime_norm(u, 6, 0.0, w) ** 6
-    s_sum = sum(spacetime_norm(piece, 6, 0.0, w) ** 6 for piece in pieces)
+    s_u = spacetime_norm(u, w) ** 6
+    s_sum = sum(spacetime_norm(piece, w) ** 6 for piece in pieces)
     if result.remainder.l2_norm() > 1e-12 * np.sqrt(l2_u):
-        s_sum += spacetime_norm(result.remainder, 6, 0.0, w) ** 6
+        s_sum += spacetime_norm(result.remainder, w) ** 6
     strichartz_defect = abs(s_u - s_sum) / s_u
     return float(l2_defect), float(strichartz_defect)
 
@@ -182,13 +186,13 @@ def _golden_max(fun, a: float, b: float, tol: float = 1e-3) -> tuple:
 
 
 def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindow,
-                     h_grid=None, t0_grid=None, coeff_floor: float = 0.1) -> DecompositionResult:
+                     h_grid=None, t0_grid=None) -> DecompositionResult:
     """Greedy matched-filter decomposition of u against a dictionary of shapes.
 
     Each stage scans dictionary element, dyadic scale, and a time-shift grid
     (with golden-section refinement in t0), locates the best spatial shift by
     an exact cross-correlation, projects it out, and repeats until the matched
-    coefficient drops below coeff_floor * ||residual|| or max_profiles is hit.
+    coefficient drops below _COEFF_FLOOR * ||residual|| or max_profiles is hit.
     Scales that would squeeze a shape below the lattice spacing are skipped.
     The filter works on spectra: each candidate shape is transformed once,
     the residual once per stage, and each score costs one inverse transform.
@@ -260,7 +264,7 @@ def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindo
         atom = apply_symmetry(dictionary[d_idx], p)
         atom = Field(g, atom.values / atom.l2_norm())
         coeff = inner_product(atom, residual)
-        if abs(coeff) < coeff_floor * r_norm:
+        if abs(coeff) < _COEFF_FLOOR * r_norm:
             break
         profiles.append(coeff * dictionary[d_idx])
         params.append(p)

@@ -24,7 +24,6 @@ __all__ = [
     "LinearMapA0",
     "evolve_quartic",
     "evolve_schrodinger",
-    "frac_derivative",
     "phase_expansion",
     "check_band_guard",
     "check_support_guard",
@@ -57,10 +56,9 @@ def check_band_guard(F: SpectralField) -> None:
         )
 
 
-def _apply_multiplier(f: Field, multiplier: np.ndarray, guard: bool = True) -> Field:
+def _apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
     F = dft_forward(f)
-    if guard:
-        check_band_guard(F)
+    check_band_guard(F)
     return dft_inverse(SpectralField(f.grid, F.coeffs * multiplier))
 
 
@@ -76,15 +74,6 @@ def evolve_schrodinger(f: Field, t: float) -> Field:
     if not np.isfinite(t):
         raise ValidationError(f"evolution time must be finite, got {t}")
     return _apply_multiplier(f, np.exp(-1j * t * f.grid.xi_sq))
-
-
-def frac_derivative(f: Field, s: float) -> Field:
-    """D^s: multiply the spectrum by |xi|^s (D^0 is the identity)."""
-    if s < 0:
-        raise ValidationError(f"fractional order must be >= 0, got {s}")
-    if s == 0:
-        return f
-    return _apply_multiplier(f, f.grid.xi_abs ** s, guard=False)
 
 
 def phase_expansion(xi, xi_n) -> float:
@@ -120,10 +109,6 @@ class LinearMapA0:
         d = np.asarray(self.direction)
         proj = np.outer(d, d)
         return np.sqrt(2.0) * (np.eye(2) - proj) + np.sqrt(6.0) * proj
-
-    @property
-    def det(self) -> float:
-        return 2.0 * np.sqrt(3.0)
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         return np.asarray(xi, dtype=float) @ self.matrix.T

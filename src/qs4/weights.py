@@ -76,11 +76,6 @@ class WeightParams:
     def to_dict(self) -> dict:
         return {"mu": self.mu, "eps": self.eps, "s": self.s, "coupled": self.coupled}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "WeightParams":
-        return cls(mu=float(d["mu"]), eps=float(d["eps"]), s=float(d["s"]),
-                   coupled=bool(d["coupled"]))
-
 
 def weight_f(eta, p: WeightParams):
     """F(eta) = mu |eta|^4 / (1 + eps |eta|^4); accepts (..., 2) arrays."""
@@ -124,11 +119,11 @@ def sample_constraint_tuples(count: int, radius: float, rng_seed: int) -> np.nda
 @dataclass(frozen=True)
 class KernelReport:
     """Extremes of exp(F(eta_1) - sum_{k=2}^6 F(eta_k)) over checked tuples;
-    argmax is the maximizing (6, 2) tuple."""
+    argmax is the maximizing tuple as six (x, y) pairs."""
 
     n_checked: int
     max_kernel: float
-    argmax: np.ndarray
+    argmax: tuple
 
 
 def weight_kernel_check(tuples, p: WeightParams) -> KernelReport:
@@ -163,7 +158,7 @@ def weight_kernel_check(tuples, p: WeightParams) -> KernelReport:
         raise QS4Error(
             f"weight kernel bound violated: max exp(F1 - sum F_k) = {best:.17g}"
         )
-    return KernelReport(n_checked=len(etas), max_kernel=best, argmax=etas[i].copy())
+    return KernelReport(len(etas), best, tuple(map(tuple, etas[i].tolist())))
 
 
 @dataclass(frozen=True)

@@ -154,11 +154,3 @@ class TestDominationReport:
             dominating_function_check([], -1.0, 1.0)
         with pytest.raises(ValidationError):
             dominating_function_check([], 1.0, 1.0, k_min=5, k_max=5)
-
-
-def test_star_import_exports_all():
-    import qs4.asymptotics
-
-    namespace = {}
-    exec("from qs4.asymptotics import *", namespace)
-    assert set(qs4.asymptotics.__all__) <= namespace.keys()

@@ -20,7 +20,7 @@ class TestFieldFile:
         write_field(f, path)
         back = read_field(path)
         assert isinstance(back, Field)
-        assert back.grid.same_as(g)
+        assert back.grid == g
         assert np.array_equal(back.values, np.asarray(f.values, dtype=complex))
 
     def test_round_trip_spectral(self, tmp_path):

@@ -5,9 +5,12 @@ import pytest
 
 from qs4.errors import TailTestError, ValidationError
 from qs4.functional import (
+    _CHUNK_BYTES,
+    _TIME_CHUNK,
     PAD_FACTOR,
     TimeWindow,
     el_map,
+    evolve_padded,
     q_form,
     spacetime_norm,
     strichartz_quotient,
@@ -33,7 +36,7 @@ class TestTimeWindow:
         assert np.isclose(w.weights.sum(), 4.0)
 
     def test_refined_keeps_endpoints(self):
-        w = TimeWindow(2.0, 9).refined(2)
+        w = TimeWindow(2.0, 9).refined()
         assert w.n_t == 17
         assert w.t_max == 2.0
 
@@ -57,12 +60,7 @@ class TestSpacetimeNorm:
         for t, wt in zip(w.nodes, w.weights):
             u = evolve_quartic(f, t)
             direct += wt * np.sum(np.abs(u.values) ** 6) * g.spacing ** 2
-        assert np.isclose(spacetime_norm(f, 6, 0.0, w) ** 6, direct, rtol=1e-12)
-
-    def test_rejects_bad_exponent(self):
-        g = make_grid(32, 8.0)
-        with pytest.raises(ValidationError):
-            spacetime_norm(make_gaussian(g, width=0.5), 5, 0.0, _window())
+        assert np.isclose(spacetime_norm(f, w) ** 6, direct, rtol=1e-12)
 
     def test_tail_gate_trips_on_small_torus(self):
         # on a small torus the dispersed wave wraps around and the endpoint
@@ -70,7 +68,7 @@ class TestSpacetimeNorm:
         g = make_grid(64, 16.0)
         f = make_gaussian(g, width=0.8)
         with pytest.raises(TailTestError):
-            spacetime_norm(f, 6, 0.0, TimeWindow(3.0, 49))
+            spacetime_norm(f, TimeWindow(3.0, 49))
 
     def test_time_reversal_symmetry(self):
         # real data evolve conjugate-symmetrically, so the norm over [-T, T]
@@ -94,16 +92,16 @@ class TestQuotient:
         g = make_grid(128, 32.0)
         f = make_gaussian(g, width=0.8)
         w = _window()
-        q1 = strichartz_quotient(f, w).quotient
-        q2 = strichartz_quotient(3.7 * f, w).quotient
+        q1 = strichartz_quotient(f, w)
+        q2 = strichartz_quotient(3.7 * f, w)
         assert np.isclose(q1, q2, rtol=1e-12)
 
     def test_phase_invariance(self):
         g = make_grid(128, 32.0)
         f = make_gaussian(g, width=0.8)
         w = _window()
-        q1 = strichartz_quotient(f, w).quotient
-        q2 = strichartz_quotient(np.exp(1j * 0.7) * f, w).quotient
+        q1 = strichartz_quotient(f, w)
+        q2 = strichartz_quotient(np.exp(1j * 0.7) * f, w)
         assert np.isclose(q1, q2, rtol=1e-12)
 
     def test_zero_field_rejected(self):
@@ -118,7 +116,7 @@ class TestQForm:
         f = make_gaussian(g, width=0.8)
         w = _window()
         q6 = q_form(f, f, f, f, f, f, w)
-        n6 = spacetime_norm(f, 6, 0.0, w) ** 6
+        n6 = spacetime_norm(f, w) ** 6
         assert abs(q6 - n6) / n6 < 1e-12
 
     def test_linearity_first_slot(self):
@@ -177,7 +175,7 @@ class TestElMap:
             f = make_random_field(g, seed, band_radius=1.5, envelope_width=4.0)
             lam = el_map(f, w)
             omega = inner_product(f, lam).real
-            n6 = spacetime_norm(f, 6, 0.0, w) ** 6
+            n6 = spacetime_norm(f, w) ** 6
             assert abs(omega - n6) / n6 < 1e-8
 
     def test_real_fast_path_matches_complex_path(self):
@@ -199,3 +197,23 @@ class TestElMap:
 class TestPadding:
     def test_pad_factor_covers_quintic(self):
         assert PAD_FACTOR >= 3
+
+    @pytest.mark.parametrize("n, operands, pad", [(128, 6, 3), (256, 2, 2), (64, 1, 3)])
+    def test_chunk_bytes_bounded(self, n, operands, pad):
+        # a chunk takes as many nodes as fit the byte budget, up to the node
+        # cap; (256, 2, 2) is the bilinear scan's full 16-node chunk
+        g = make_grid(n, 16.0)
+        seen = []
+
+        def record(chunk, phases, us):
+            assert all(u.shape == (len(phases), pad * n, pad * n) for u in us)
+            seen.append((len(phases), sum(u.nbytes for u in us)))
+
+        times = np.linspace(-1.0, 1.0, 2 * _TIME_CHUNK + 1)
+        evolve_padded(g, [np.zeros((n, n), complex)] * operands, g.xi_sq ** 2, times,
+                      record, pad=pad)
+        assert sum(k for k, _ in seen) == len(times)
+        assert max(b for _, b in seen) <= _CHUNK_BYTES
+        nodes = max(k for k, _ in seen)
+        per_node = operands * 16 * (pad * n) ** 2
+        assert nodes == _TIME_CHUNK or (nodes + 1) * per_node > _CHUNK_BYTES

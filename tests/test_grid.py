@@ -44,9 +44,10 @@ class TestGrid2D:
         with pytest.raises(ValidationError):
             make_grid(32, np.inf)
 
-    def test_same_as(self):
-        assert make_grid(32, 8.0).same_as(make_grid(32, 8.0))
-        assert not make_grid(32, 8.0).same_as(make_grid(64, 8.0))
+    def test_equality_by_value(self):
+        assert make_grid(32, 8.0) == make_grid(32, 8.0)
+        assert make_grid(32, 8.0) != make_grid(64, 8.0)
+        assert make_grid(32, 8.0) != make_grid(32, 16.0)
 
 
 class TestFieldValidation:

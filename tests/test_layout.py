@@ -1,11 +1,16 @@
-"""Module layout: no qs4 module imports another module's private names."""
+"""Module layout: no qs4 module imports another module's private names, and
+every module's __all__ names only what it defines."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import qs4
 
 SRC = Path(qs4.__file__).parent
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
 def _is_private(name: str) -> bool:
@@ -21,3 +26,12 @@ def test_no_private_cross_module_imports():
                 offences += [f"{path.name}:{node.lineno} imports {alias.name} from .{node.module or ''}"
                              for alias in node.names if _is_private(alias.name)]
     assert not offences, offences
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_star_import_exports_all(name):
+    module = importlib.import_module(f"qs4.{name}")
+    namespace = {}
+    exec(f"from qs4.{name} import *", namespace)
+    # errors.py has no __all__: its star import takes every public name
+    assert set(getattr(module, "__all__", ())) <= namespace.keys()

@@ -10,7 +10,6 @@ from qs4.propagator import (
     check_band_guard,
     evolve_quartic,
     evolve_schrodinger,
-    frac_derivative,
     phase_expansion,
     resample_linear,
 )
@@ -77,25 +76,6 @@ class TestBandGuard:
             evolve_quartic(Field(g, vals), 0.1)
 
 
-class TestFracDerivative:
-    def test_zero_order_identity(self):
-        g = make_grid(32, 8.0)
-        f = make_gaussian(g, width=0.5)
-        assert frac_derivative(f, 0.0) is f
-
-    def test_order_two_is_minus_laplacian(self):
-        g = make_grid(64, 16.0)
-        f = _safe_field(g, 4)
-        F = dft_forward(f)
-        D2 = dft_forward(frac_derivative(f, 2.0))
-        assert np.max(np.abs(D2.coeffs - g.xi_sq * F.coeffs)) < 1e-10
-
-    def test_negative_order_rejected(self):
-        g = make_grid(32, 8.0)
-        with pytest.raises(ValidationError):
-            frac_derivative(make_gaussian(g, width=0.5), -1.0)
-
-
 class TestPhaseExpansion:
     def test_matches_quartic_norm(self):
         rng = np.random.default_rng(0)
@@ -117,7 +97,6 @@ class TestLinearMapA0:
     def test_determinant(self):
         m = LinearMapA0((1.0, 0.0))
         assert np.isclose(abs(np.linalg.det(m.matrix)), 2 * np.sqrt(3.0), rtol=1e-15)
-        assert np.isclose(m.det, 2 * np.sqrt(3.0))
 
     def test_quadratic_form(self):
         rng = np.random.default_rng(1)

@@ -30,9 +30,9 @@ class TestWeightParams:
         with pytest.raises(ValidationError):
             WeightParams(s=0.0)
 
-    def test_round_trip_dict(self):
+    def test_to_dict(self):
         p = WeightParams(mu=2.0, eps=0.1, s=0.5)
-        assert WeightParams.from_dict(p.to_dict()) == p
+        assert p.to_dict() == {"mu": 2.0, "eps": 0.1, "s": 0.5, "coupled": False}
 
 
 class TestWeightF:
@@ -111,6 +111,11 @@ class TestKernelBound:
         assert report.n_checked == 1
         assert report.max_kernel == 1.0
         assert np.array_equal(report.argmax, _balanced())
+
+    def test_reports_compare_by_value(self):
+        tuples = sample_constraint_tuples(500, 4.0, 3)
+        p = WeightParams(mu=1.0, eps=0.1)
+        assert weight_kernel_check(tuples, p) == weight_kernel_check(tuples.copy(), p)
 
     def test_off_surface_row_rejected(self):
         etas = np.stack([_balanced(), _balanced()])
