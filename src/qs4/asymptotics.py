@@ -13,9 +13,10 @@ the envelope v, which evolves under the demodulated multiplier
 
     psi_m(xi) = |xi + xi_n|^4 - |xi_n|^4 - 4 |xi_n|^2 (xi_n . xi),
 
-a phase that only involves envelope frequencies, so the scan runs on a small
-cropped spectral block whatever the magnitude m.  The linear term dropped
-from psi_m is a rigid spatial transport that moves no L^p mass.
+(propagator.demodulated_phase), a phase that only involves envelope
+frequencies, so the scan runs on a small cropped spectral block whatever the
+magnitude m.  The linear term dropped from psi_m is a rigid spatial transport
+that moves no L^p mass.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ import numpy as np
 from .errors import ValidationError
 from .functional import TimeWindow, spacetime_slices, window_norm
 from .grid import Field, Grid2D, SpectralField, dft_forward
-from .propagator import BAND_GUARD_FRACTION, LinearMapA0, check_band_guard, check_support_guard
+from .propagator import (
+    BAND_GUARD_FRACTION,
+    LinearMapA0,
+    check_band_guard,
+    check_support_guard,
+    demodulated_phase,
+)
 
 __all__ = [
     "ModulationScan",
@@ -86,14 +93,9 @@ def _crop_grid(F: SpectralField, radius: float) -> SpectralField:
     return SpectralField(Grid2D(n_c, g.extent), F.coeffs[lo:lo + n_c, lo:lo + n_c].copy())
 
 
-def _demodulated_symbol(grid: Grid2D, m: float, direction: np.ndarray) -> np.ndarray:
-    xi1 = grid.xi[:, None]
-    xi2 = grid.xi[None, :]
-    xi_n = m * direction
-    dot = xi1 * xi_n[0] + xi2 * xi_n[1]
-    xi_sq = grid.xi_sq
-    # phase_expansion minus the constant m^4 and the linear transport term
-    return xi_sq ** 2 + 4 * xi_sq * dot + 2 * xi_sq * m ** 2 + 4 * dot ** 2
+def _lattice_points(grid: Grid2D) -> np.ndarray:
+    """The (n, n, 2) array of frequency lattice points."""
+    return np.stack(np.meshgrid(grid.xi, grid.xi, indexing="ij"), axis=-1)
 
 
 def modulation_scan(phi: Field, magnitudes, direction, w: TimeWindow) -> ModulationScan:
@@ -103,9 +105,8 @@ def modulation_scan(phi: Field, magnitudes, direction, w: TimeWindow) -> Modulat
     the rescaled time T = m^2 t covers the same fixed range [-t_max, t_max]
     for every scan point and for the second-order reference.
     """
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (2,) or abs(np.hypot(*direction) - 1.0) > 1e-12:
-        raise ValidationError("direction must be a unit vector")
+    a0 = LinearMapA0(direction)
+    direction = np.asarray(a0.direction)
     magnitudes = [float(m) for m in magnitudes]
     if len(magnitudes) < 2 or any(b <= a for a, b in zip(magnitudes, magnitudes[1:])):
         raise ValidationError("need at least two strictly increasing magnitudes")
@@ -123,11 +124,11 @@ def modulation_scan(phi: Field, magnitudes, direction, w: TimeWindow) -> Modulat
             f"exceeds the guarded band {BAND_GUARD_FRACTION * g.nyquist:.2f}"
         )
     Fc = _crop_grid(F, radius)
-    gc = Fc.grid
+    points = _lattice_points(Fc.grid)
 
     raw = []
     for m in magnitudes:
-        symbol = _demodulated_symbol(gc, m, direction)
+        symbol = demodulated_phase(points, m * direction)
         # m = 0 is unmodulated: no rescaled time exists, use the window as is
         wm = w if m == 0 else TimeWindow(w.t_max / m ** 2, w.n_t)
         slices = spacetime_slices(Fc, symbol, wm)
@@ -143,8 +144,7 @@ def modulation_scan(phi: Field, magnitudes, direction, w: TimeWindow) -> Modulat
     Fp = dft_forward(Field(Grid2D(2 * g.n, 2 * g.extent), np.pad(phi.values, g.n // 2)))
     Fpc = _crop_grid(Fp, _bump_radius(Fp))
     del Fp  # free the doubled lattice and its cached arrays before the evolution
-    xi = np.stack(np.meshgrid(Fpc.grid.xi, Fpc.grid.xi, indexing="ij"), axis=-1)
-    a0_sq = np.sum(LinearMapA0(tuple(direction))(xi) ** 2, axis=-1)
+    a0_sq = np.sum(a0(_lattice_points(Fpc.grid)) ** 2, axis=-1)
     slices = spacetime_slices(Fpc, -a0_sq, w)
     limit_reference = window_norm(slices, w, 6, "second-order reference norm")
 
@@ -155,7 +155,7 @@ def modulation_scan(phi: Field, magnitudes, direction, w: TimeWindow) -> Modulat
             break
     return ModulationScan(
         magnitudes=tuple(magnitudes),
-        direction=(float(direction[0]), float(direction[1])),
+        direction=a0.direction,
         raw_norms=tuple(raw),
         compensated=tuple(compensated),
         limit_reference=float(limit_reference),
@@ -164,7 +164,8 @@ def modulation_scan(phi: Field, magnitudes, direction, w: TimeWindow) -> Modulat
 
 
 def phase_phi_n(T, X, xi, xi_n) -> np.ndarray:
-    """Rescaled phase: X . xi - T (2 + 4 cos^2 theta_n)|xi|^2
+    """Rescaled phase X . xi - T psi_m(xi) / |xi_n|^2, which expands to
+    X . xi - T (2 + 4 cos^2 theta_n)|xi|^2
     - T (4 |xi|^2 (xi . dir_n)/|xi_n| + |xi|^4/|xi_n|^2)."""
     xi = np.asarray(xi, dtype=float)
     xi_n = np.asarray(xi_n, dtype=float)
@@ -172,13 +173,7 @@ def phase_phi_n(T, X, xi, xi_n) -> np.ndarray:
     mag = float(np.hypot(*xi_n))
     if mag == 0:
         raise ValidationError("xi_n must be nonzero")
-    d = xi_n / mag
-    xi_sq = np.sum(xi ** 2, axis=-1)
-    dot_d = np.sum(xi * d, axis=-1)
-    cos_sq = np.where(xi_sq > 0, dot_d ** 2 / np.where(xi_sq > 0, xi_sq, 1.0), 0.0)
-    main = np.sum(X * xi, axis=-1) - T * (2 + 4 * cos_sq) * xi_sq
-    corr = T * (4 * xi_sq * dot_d / mag + xi_sq ** 2 / mag ** 2)
-    return main - corr
+    return np.sum(X * xi, axis=-1) - T * demodulated_phase(xi, xi_n) / mag ** 2
 
 
 def oscillatory_integral(T: float, X, amplitude: SpectralField, xi_n) -> complex:
@@ -189,7 +184,7 @@ def oscillatory_integral(T: float, X, amplitude: SpectralField, xi_n) -> complex
     X = np.asarray(X, dtype=float)
     if X.shape != (2,):
         raise ValidationError("X must be a 2-vector")
-    pts = np.stack(np.meshgrid(g.xi, g.xi, indexing="ij"), axis=-1).reshape(-1, 2)
+    pts = _lattice_points(g).reshape(-1, 2)
     a = amplitude.coeffs.ravel()
     live = a != 0
     if not np.any(live):

@@ -1,10 +1,11 @@
 """Batch command-line interface: validated configs in, reproducible artifacts
 out.
 
-Every run echoes its full configuration (including rng seeds and the tool
-version) into the output so any reported number can be regenerated exactly.
-Fields travel in a small binary container; reports serialize to JSON and
-scans to CSV, both with 17 significant digits.
+Every JSON report echoes its full configuration (including rng seeds and the
+tool version) so any reported number can be regenerated exactly; the CSV
+tables of oscillatory-check and --format csv carry no configuration.  Fields
+travel in a small binary container; reports serialize to JSON and scans to
+CSV, both writing each float as the shortest text that reads back to it.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 numerical-guard
 abort, 3 any other qs4 error, such as a violated weight-kernel bound.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import struct
 import sys
@@ -25,7 +25,7 @@ from . import __version__
 from .errors import NumericalGuardError, QS4Error, ValidationError
 from .grid import Field, SpectralField, dft_forward, make_gaussian, make_grid
 from .functional import TimeWindow
-from .propagator import evolve_quartic, evolve_schrodinger
+from .propagator import evolve_quartic
 from .extremizer import IterationConfig, run_iteration
 from .asymptotics import modulation_scan, oscillatory_integral
 from .bilinear import decay_scan
@@ -82,6 +82,8 @@ def read_field(path):
             raise ValidationError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
         if version != _VERSION:
             raise ValidationError(f"{path}: version {version}, expected {_VERSION}")
+        if flag not in (0, 1):
+            raise ValidationError(f"{path}: domain flag {flag}, expected 0 or 1")
         raw = fh.read()
     expected = 2 * n * n * 8
     if len(raw) != expected:
@@ -96,44 +98,12 @@ def read_field(path):
 # Result emission
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _to_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {_to_json(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, complex):
-        return _to_json({"re": obj.real, "im": obj.imag}, indent)
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
-
-
 def emit_results(record: dict, format: str, path) -> None:
     """Write a {config, results} record as JSON, or a scan table as CSV."""
     if format == "json":
         if "config" not in record or "results" not in record:
             raise ValidationError("JSON records need 'config' and 'results' keys")
-        text = _to_json(record) + "\n"
+        text = json.dumps(record, indent=2) + "\n"
         with open(path, "w", newline="") as fh:
             fh.write(text)
         return
@@ -144,14 +114,10 @@ def emit_results(record: dict, format: str, path) -> None:
             raise ValidationError("CSV records need 'header' and 'rows'")
         if any(len(r) != len(header) for r in rows):
             raise ValidationError("ragged CSV rows cannot be serialized")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, (float, np.floating)) else v
-                             for v in row])
         with open(path, "w", newline="") as fh:
-            fh.write(buf.getvalue())
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
         return
     raise ValidationError(f"unknown output format {format!r}")
 
@@ -176,10 +142,10 @@ def _float_list(text: str) -> list:
 
 
 def _int_list(text: str) -> list:
-    vals = _float_list(text)
-    if not all(v.is_integer() for v in vals):
-        raise ValidationError(f"expected a comma-separated integer list, got {text!r}")
-    return [int(v) for v in vals]
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError as exc:
+        raise ValidationError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
 def _pair(text: str) -> tuple:
@@ -209,7 +175,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", default=None, help="FieldFile to evolve (default: Gaussian)")
     p.add_argument("--width", type=float, default=1.0)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--equation", choices=["quartic", "schrodinger"], default="quartic")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("extremize", help="fixed-point iteration for the sharp quotient")
@@ -281,12 +246,7 @@ def _build_parser() -> _Parser:
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    cfg = {"tool_version": __version__}
-    for key, val in sorted(vars(args).items()):
-        if isinstance(val, tuple):
-            val = list(val)
-        cfg[key] = val
-    return cfg
+    return {"tool_version": __version__, **dict(sorted(vars(args).items()))}
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +261,7 @@ def _run_propagate(args) -> None:
     else:
         g = make_grid(args.grid_n, args.extent)
         f = make_gaussian(g, width=args.width)
-    out = (evolve_quartic if args.equation == "quartic" else evolve_schrodinger)(f, args.t)
-    write_field(out, args.out)
+    write_field(evolve_quartic(f, args.t), args.out)
 
 
 def _run_extremize(args) -> None:

@@ -4,10 +4,8 @@ separable resampling by diagonal dilations.
 A0 maps frequencies: the modulation limit evolves phi under the symbol
 -|A0 xi|^2, so no field is resampled through A0.
 
-Sign conventions: the quartic propagator multiplies the spectrum by
-exp(+i t |xi|^4); the second-order comparison propagator uses exp(-i t |xi|^2),
-the sign being pinned by the requirement that the modulation-limit comparison
-in the asymptotics module reproduce the target phase -i T (2 + 4 cos^2) |xi|^2.
+Sign convention: the quartic propagator multiplies the spectrum by
+exp(+i t |xi|^4).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from .grid import Field, SpectralField, dft_forward, dft_inverse
 __all__ = [
     "LinearMapA0",
     "evolve_quartic",
-    "evolve_schrodinger",
+    "demodulated_phase",
     "phase_expansion",
     "check_band_guard",
     "check_support_guard",
@@ -56,38 +54,36 @@ def check_band_guard(F: SpectralField) -> None:
         )
 
 
-def _apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
-    F = dft_forward(f)
-    check_band_guard(F)
-    return dft_inverse(SpectralField(f.grid, F.coeffs * multiplier))
-
-
 def evolve_quartic(f: Field, t: float) -> Field:
     """e^{it Delta^2}: multiply the spectrum by exp(i t |xi|^4)."""
     if not np.isfinite(t):
         raise ValidationError(f"evolution time must be finite, got {t}")
-    return _apply_multiplier(f, np.exp(1j * t * f.grid.xi_sq ** 2))
+    F = dft_forward(f)
+    check_band_guard(F)
+    return dft_inverse(SpectralField(f.grid, F.coeffs * np.exp(1j * t * f.grid.xi_sq ** 2)))
 
 
-def evolve_schrodinger(f: Field, t: float) -> Field:
-    """e^{it Delta}: multiply the spectrum by exp(-i t |xi|^2)."""
-    if not np.isfinite(t):
-        raise ValidationError(f"evolution time must be finite, got {t}")
-    return _apply_multiplier(f, np.exp(-1j * t * f.grid.xi_sq))
-
-
-def phase_expansion(xi, xi_n) -> float:
-    """Six-term expansion of |xi + xi_n|^4:
+def demodulated_phase(xi, xi_n) -> np.ndarray:
+    """|xi + xi_n|^4 - |xi_n|^4 - 4|xi_n|^2 (xi_n.xi) on (..., 2) arrays:
 
     |xi|^4 + 4|xi|^2 (xi.xi_n) + 2|xi|^2 |xi_n|^2 + 4(xi.xi_n)^2
-          + 4|xi_n|^2 (xi_n.xi) + |xi_n|^4
     """
     xi = np.asarray(xi, dtype=float)
     xi_n = np.asarray(xi_n, dtype=float)
     a2 = np.sum(xi ** 2, axis=-1)
     b2 = np.sum(xi_n ** 2, axis=-1)
     dot = np.sum(xi * xi_n, axis=-1)
-    out = a2 ** 2 + 4 * a2 * dot + 2 * a2 * b2 + 4 * dot ** 2 + 4 * b2 * dot + b2 ** 2
+    return a2 ** 2 + 4 * a2 * dot + 2 * a2 * b2 + 4 * dot ** 2
+
+
+def phase_expansion(xi, xi_n) -> float:
+    """Six-term expansion of |xi + xi_n|^4: the demodulated phase plus
+    4|xi_n|^2 (xi_n.xi) + |xi_n|^4."""
+    xi = np.asarray(xi, dtype=float)
+    xi_n = np.asarray(xi_n, dtype=float)
+    b2 = np.sum(xi_n ** 2, axis=-1)
+    dot = np.sum(xi * xi_n, axis=-1)
+    out = demodulated_phase(xi, xi_n) + 4 * b2 * dot + b2 ** 2
     return float(out) if out.ndim == 0 else out
 
 
@@ -121,10 +117,11 @@ def check_support_guard(f: Field) -> None:
     half = SAFE_SUPPORT_FRACTION * g.extent / 2
     p = np.abs(f.values) ** 2
     outside = (np.abs(g.x[:, None]) > half) | (np.abs(g.x[None, :]) > half)
-    if p[outside].sum() > 1e-8 * p.sum():
+    total, mass_out = p.sum(), p[outside].sum()
+    if mass_out > 1e-8 * total:
         raise SupportGuardError(
-            "field support escapes the periodization-safe region "
-            f"[-{half:.3g}, {half:.3g}]^2"
+            f"mass fraction {mass_out / total:.3e} outside the periodization-safe "
+            f"region [-{half:.3g}, {half:.3g}]^2 (limit 1e-8)"
         )
 
 

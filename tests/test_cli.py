@@ -55,6 +55,13 @@ class TestFieldFile:
         with pytest.raises(ValidationError):
             read_field(path)
 
+    def test_unknown_domain_flag_rejected(self, tmp_path):
+        head = struct.Struct("<4sHIdB").pack(b"QS4F", 1, 32, 8.0, 7)
+        path = tmp_path / "flag.qs4f"
+        path.write_bytes(head + b"\x00" * (2 * 32 * 32 * 8))
+        with pytest.raises(ValidationError, match="domain flag 7"):
+            read_field(path)
+
 
 class TestEmitResults:
     def test_json_record(self, tmp_path):
@@ -71,6 +78,17 @@ class TestEmitResults:
         emit_results({"config": {}, "results": {"x": x}}, "json", path)
         assert json.loads(path.read_text())["results"]["x"] == x
 
+    def test_json_integral_float_stays_float(self, tmp_path):
+        path = tmp_path / "out.json"
+        emit_results({"config": {}, "results": {"x": 1.0, "y": np.float64(2.0)}}, "json", path)
+        results = json.loads(path.read_text())["results"]
+        assert isinstance(results["x"], float) and isinstance(results["y"], float)
+
+    def test_json_nan_reloads(self, tmp_path):
+        path = tmp_path / "out.json"
+        emit_results({"config": {}, "results": {"x": float("nan")}}, "json", path)
+        assert math.isnan(json.loads(path.read_text())["results"]["x"])
+
     def test_json_requires_keys(self, tmp_path):
         with pytest.raises(ValidationError):
             emit_results({"results": {}}, "json", tmp_path / "o.json")
@@ -82,6 +100,11 @@ class TestEmitResults:
         lines = path.read_text().splitlines()
         assert lines[0] == "a,b"
         assert len(lines) == 3
+
+    def test_csv_shortest_float(self, tmp_path):
+        path = tmp_path / "out.csv"
+        emit_results({"header": ["a", "b"], "rows": [(0.1, np.float64(0.1))]}, "csv", path)
+        assert path.read_text().splitlines()[1] == "0.1,0.1"
 
     def test_csv_ragged_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -146,6 +169,30 @@ class TestExtremizeCommand:
         data = json.loads(out.read_text())
         assert data["config"]["beta"] == 0.5
         assert data["results"]["beta_final"] <= 0.5
+
+
+class TestScanCommands:
+    def test_modulation_scan_json(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert parse_and_run(["modulation-scan", "--grid-n", "64", "--extent", "16",
+                              "--magnitudes", "2,4", "--t-max", "2", "--nt", "33",
+                              "--format", "json", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["config"]["direction"] == [1.0, 0.0]
+        assert data["results"]["magnitudes"] == [2.0, 4.0]
+        assert data["results"]["raw_norms"][1] < data["results"]["raw_norms"][0]
+
+    def test_bilinear_scan_json_with_seed_above_2_53(self, tmp_path):
+        # the seed is not exactly representable as a float
+        seed = 2 ** 53 + 1
+        out = tmp_path / "b.json"
+        assert parse_and_run(["bilinear-scan", "--grid-n", "64", "--extent", "32",
+                              "--scale", "0.5", "--n-values", "2,2.5,3.125,3.90625",
+                              "--nt", "33", "--seeds", str(seed), "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["config"]["seeds"] == [seed]
+        assert len(data["results"]["per_seed"]) == 4
+        assert isinstance(data["results"]["reliable"], bool)
 
 
 class TestPropagate:

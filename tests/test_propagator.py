@@ -8,8 +8,8 @@ from qs4.grid import Field, SpectralField, dft_forward, inner_product, make_gaus
 from qs4.propagator import (
     LinearMapA0,
     check_band_guard,
+    demodulated_phase,
     evolve_quartic,
-    evolve_schrodinger,
     phase_expansion,
     resample_linear,
 )
@@ -39,16 +39,6 @@ class TestEvolution:
         f = _safe_field(g, 2)
         back = evolve_quartic(evolve_quartic(f, 0.4), -0.4)
         assert np.max(np.abs(back.values - f.values)) < 1e-12
-
-    def test_schrodinger_sign(self):
-        # e^{it Delta} carries exp(-i t |xi|^2) on the spectrum
-        g = make_grid(64, 16.0)
-        f = _safe_field(g, 3)
-        F = dft_forward(f)
-        u = evolve_schrodinger(f, 0.21)
-        U = dft_forward(u)
-        expected = F.coeffs * np.exp(-1j * 0.21 * g.xi_sq)
-        assert np.max(np.abs(U.coeffs - expected)) < 1e-12
 
     def test_rejects_non_finite_time(self):
         g = make_grid(32, 8.0)
@@ -91,6 +81,16 @@ class TestPhaseExpansion:
 
     def test_scalar_input(self):
         assert np.isclose(phase_expansion((1.0, 0.0), (2.0, 0.0)), 81.0)
+
+    def test_demodulated_phase_drops_constant_and_linear_terms(self):
+        rng = np.random.default_rng(2)
+        xi = rng.normal(size=(1000, 2))
+        xi_n = 10 * rng.normal(size=(1000, 2))
+        b2 = np.sum(xi_n ** 2, axis=-1)
+        direct = (np.sum((xi + xi_n) ** 2, axis=-1) ** 2 - b2 ** 2
+                  - 4 * b2 * np.sum(xi * xi_n, axis=-1))
+        scale = (np.sum(xi ** 2, axis=-1) + b2) ** 2
+        assert np.max(np.abs(demodulated_phase(xi, xi_n) - direct) / scale) < 1e-9
 
 
 class TestLinearMapA0:
@@ -154,5 +154,5 @@ class TestResample:
     def test_support_guard(self):
         g = make_grid(64, 16.0)
         f = make_gaussian(g, center=(5.0, 5.0), width=1.0)
-        with pytest.raises(SupportGuardError):
+        with pytest.raises(SupportGuardError, match=r"mass fraction \d\.\d{3}e[+-]\d+ .*limit 1e-8"):
             resample_linear(f, np.eye(2))
