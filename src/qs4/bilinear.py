@@ -111,7 +111,7 @@ def product_norm_l3(pair: SeparatedPair, w: TimeWindow) -> float:
     def powers(chunk, phases, us):
         uf, ug = us
         prod_sq = (uf.real ** 2 + uf.imag ** 2) * (ug.real ** 2 + ug.imag ** 2)
-        return np.sum(prod_sq ** 1.5, axis=(-2, -1)) * quad
+        return np.sum(prod_sq * np.sqrt(prod_sq), axis=(-2, -1)) * quad
 
     slices = np.concatenate(evolve_padded(grid, [Ff.coeffs, Fg.coeffs], grid.xi_sq ** 2,
                                           w.nodes, powers, pad=_PAIR_PAD))

@@ -141,11 +141,21 @@ def _float_list(text: str) -> list:
         raise ValidationError(f"expected a comma-separated number list, got {text!r}") from exc
 
 
-def _int_list(text: str) -> list:
+def _seed_list(text: str) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ValidationError(f"expected a comma-separated integer list, got {text!r}") from exc
+    if any(s < 0 for s in seeds):
+        raise ValidationError(f"rng seeds must be nonnegative, got {text!r}")
+    return seeds
+
+
+def _seed(text: str) -> int:
+    seeds = _seed_list(text)
+    if len(seeds) != 1:
+        raise ValidationError(f"expected one integer seed, got {text!r}")
+    return seeds[0]
 
 
 def _pair(text: str) -> tuple:
@@ -184,7 +194,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--seed-width", type=float, default=1.05)
-    p.add_argument("--seed", type=int, default=0, help="rng seed for the noise component")
+    p.add_argument("--seed", type=_seed, default=0, help="rng seed for the noise component")
     p.add_argument("--seed-noise", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.add_argument("--field-out", default=None, help="optional FieldFile for the final field")
@@ -203,7 +213,7 @@ def _build_parser() -> _Parser:
     _add_window_args(p, default_tmax=0.5, default_nt=49)
     p.add_argument("--scale", type=float, default=0.5, help="band scale s")
     p.add_argument("--n-values", type=_float_list, default=[4.0, 8.0, 16.0, 32.0])
-    p.add_argument("--seeds", type=_int_list, default=[0, 1, 2])
+    p.add_argument("--seeds", type=_seed_list, default=[0, 1, 2])
     p.add_argument("--envelope-width", type=float, default=2.0)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="json")
@@ -211,7 +221,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("weight-check", help="kernel bound on the resonance surface")
     p.add_argument("--count", type=int, default=100000)
     p.add_argument("--radius", type=float, default=4.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--scale", type=float, default=1.0)
@@ -228,7 +238,7 @@ def _build_parser() -> _Parser:
     _add_window_args(p)
     p.add_argument("--index", type=int, default=6)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("oscillatory-check", help="oscillatory-integral decay samples")

@@ -134,6 +134,18 @@ class TestExitCodes:
         assert rc == 1
         assert "integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["extremize", "--seed", "-1"],
+        ["weight-check", "--count", "10", "--seed", "-1"],
+        ["profile-demo", "--seed", "-1"],
+        ["bilinear-scan", "--seeds", "0,-1"],
+    ])
+    def test_negative_seed_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.json"
+        assert parse_and_run(argv + ["--out", str(out)]) == 1
+        assert "qs4: error: rng seeds must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_values, message", [
         ("4,8,16,64", "geometric ladder"),
         ("4,8,16,32", "guarded band"),

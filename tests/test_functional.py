@@ -9,13 +9,23 @@ from qs4.functional import (
     _TIME_CHUNK,
     PAD_FACTOR,
     TimeWindow,
+    _padded_inverse,
     el_map,
     evolve_padded,
     q_form,
     spacetime_norm,
     strichartz_quotient,
 )
-from qs4.grid import Field, dft_forward, inner_product, make_gaussian, make_grid, make_random_field
+from qs4.grid import (
+    Field,
+    SpectralField,
+    dft_forward,
+    dft_inverse,
+    inner_product,
+    make_gaussian,
+    make_grid,
+    make_random_field,
+)
 from qs4.propagator import evolve_quartic
 
 
@@ -217,3 +227,68 @@ class TestPadding:
         nodes = max(k for k, _ in seen)
         per_node = operands * 16 * (pad * n) ** 2
         assert nodes == _TIME_CHUNK or (nodes + 1) * per_node > _CHUNK_BYTES
+
+    @pytest.mark.parametrize("pad", [2, 3])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_padded_inverse_is_centered_embedding(self, pad, batch):
+        n, extent = 16, 8.0
+        rng = np.random.default_rng(pad)
+        coeffs = rng.standard_normal(batch + (n, n)) + 1j * rng.standard_normal(batch + (n, n))
+        nn = pad * n
+        lo = (nn - n) // 2
+        big = np.zeros(batch + (nn, nn), complex)
+        big[..., lo:lo + n, lo:lo + n] = coeffs
+        ref = np.fft.ifft2(big) * (nn / extent) ** 2
+        got = _padded_inverse(coeffs, pad, extent)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_el_map_matches_full_transform_and_crop(self, real):
+        # sum_t w_t e^{-it Delta^2}[|u|^4 u] with u sampled by a full
+        # transform of the centered embedding and the quintic's full
+        # spectrum cropped to the working band.  For real input el_map sums
+        # the t >= 0 half (t = 0 at half weight) and takes 2 Re, so the
+        # reference does too.
+        g = make_grid(32, 16.0)
+        f = _bump(g, 5)
+        w = TimeWindow(1.0, 9)
+        times, weights = w.nodes, w.weights.copy()
+        if real:
+            f = Field(g, f.values.real)
+            times, weights = times[w.n_t // 2:], weights[w.n_t // 2:]
+            weights[0] /= 2
+        n, nn = g.n, PAD_FACTOR * g.n
+        lo = (nn - n) // 2
+        k = np.arange(-nn // 2, nn // 2)
+        sign = (-1.0) ** (k[:, None] + k[None, :])  # dft_forward's alt_sign on the fine lattice
+        F = dft_forward(f).coeffs
+        acc = np.zeros_like(F)
+        for t, wt in zip(times, weights):
+            phase = np.exp(1j * t * g.xi_sq ** 2)
+            embedded = np.zeros((nn, nn), complex)
+            embedded[lo:lo + n, lo:lo + n] = F * phase
+            u = np.fft.ifft2(np.fft.ifftshift(sign * embedded)) * (nn / g.extent) ** 2
+            quintic = (g.extent / nn) ** 2 * sign * np.fft.fftshift(np.fft.fft2(np.abs(u) ** 4 * u))
+            acc += wt * np.conj(phase) * quintic[lo:lo + n, lo:lo + n]
+        ref = dft_inverse(SpectralField(g, acc)).values
+        if real:
+            ref = 2.0 * ref.real
+        got = el_map(f, w).values
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_spectra_left_unmodified(self):
+        # op may overwrite the padded samples; the spectra it was given stay
+        g = make_grid(16, 8.0)
+        rng = np.random.default_rng(0)
+        spectra = [rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+                   for _ in range(2)]
+        kept = [c.copy() for c in spectra]
+
+        def clobber(chunk, phases, us):
+            for u in us:
+                u *= 0.0
+
+        evolve_padded(g, spectra, g.xi_sq ** 2, np.linspace(-1.0, 1.0, 2 * _TIME_CHUNK + 1),
+                      clobber)
+        assert all(np.array_equal(c, k) for c, k in zip(spectra, kept))
