@@ -110,16 +110,14 @@ def _normalize(f: Field) -> Field:
 
 
 def _evaluate(f: Field, w: TimeWindow) -> tuple:
-    """(Lambda f, omega, quotient, residual) for unit-norm f.
+    """(Lambda f, omega, quotient, residual) for unit-norm f in the guarded band.
 
-    Lambda(f) is projected onto the guarded band (BAND_GUARD_FRACTION of the
-    Nyquist radius) before the residual is formed: the ascent maximizes over
-    that band-limited subspace, so its stationarity condition involves the
-    projected operator, and the mass the anti-aliasing guard discards must not
-    be charged against the fixed-point defect.  The multiplier is unchanged by
-    the projection because f itself is band-limited.
+    el_map returns Lambda(f) already projected onto the guarded band, the
+    subspace the ascent maximizes over, so the residual measures that
+    stationarity condition and the mass the anti-aliasing guard discards is
+    not charged against the fixed-point defect.
     """
-    lam = spectral_cutoff(el_map(f, w), 0.0, BAND_GUARD_FRACTION * f.grid.nyquist)
+    lam = el_map(f, w)
     omega = float(inner_product(f, lam).real)
     lam_norm = lam.l2_norm()
     residual = (lam - omega * f).l2_norm() / lam_norm
@@ -134,24 +132,16 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
     The recorded quotient history therefore contains accepted steps only and
     is nondecreasing up to the tolerance.
 
-    Iterates are projected onto the guarded spectral band (|xi| below
-    BAND_GUARD_FRACTION of the Nyquist radius) after every step: the ascent is
-    then a well-posed maximization over that band-limited subspace, and the
-    multiplier guards stay meaningful throughout.  The projection removes a
-    mass fraction on the order of the guard tolerance, far below the residual
-    target.
+    The seed (or `initial`) is projected once onto el_map's guarded band,
+    removing a mass fraction on the order of the guard tolerance; every step
+    then stays in that band, where the ascent is a well-posed maximization.
+    The final field must pass the window's tail gate (TailTestError).
     """
-    band = BAND_GUARD_FRACTION * cfg.grid.nyquist
-
-    def confine(f: Field) -> Field:
-        return _normalize(spectral_cutoff(f, 0.0, band))
-
-    if initial is not None:
-        if initial.grid != cfg.grid:
-            raise ValidationError("initial field grid does not match the config grid")
-        f = confine(initial)
-    else:
-        f = confine(cfg.make_seed())
+    if initial is None:
+        initial = cfg.make_seed()
+    elif initial.grid != cfg.grid:
+        raise ValidationError("initial field grid does not match the config grid")
+    f = _normalize(spectral_cutoff(initial, 0.0, BAND_GUARD_FRACTION * cfg.grid.nyquist))
 
     beta = cfg.beta
     lam, omega, quotient, residual = _evaluate(f, cfg.window)
@@ -160,8 +150,7 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
     n_iters = 1
 
     while not converged and n_iters < cfg.max_iters:
-        step = (1 - beta) * f + (beta / lam.l2_norm()) * lam
-        candidate = confine(step)
+        candidate = _normalize((1 - beta) * f + (beta / lam.l2_norm()) * lam)
         lam_c, omega_c, q_c, res_c = _evaluate(candidate, cfg.window)
         n_iters += 1
         if q_c < quotient - _ASCENT_SLACK:
@@ -176,6 +165,9 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
         history.append(quotient)
         converged = residual < cfg.tol_residual
 
+    # el_map applies no tail gate: the final field must pass the one the
+    # quotient's norm applies
+    spacetime_norm(f, cfg.window)
     return ExtremizerReport(
         quotient_history=tuple(history),
         final_field=f,
@@ -211,7 +203,7 @@ def recenter(f: Field) -> tuple:
             f"second moment {sigma:.3g} is degenerate for this grid "
             f"(resolvable range ({g.spacing / 2:.3g}, {g.extent / 4:.3g}))"
         )
-    scaled = centered if abs(sigma - 1.0) < 1e-14 else resample_linear(centered, sigma * np.eye(2))
+    scaled = centered if abs(sigma - 1.0) < 1e-14 else resample_linear(centered, sigma)
 
     coeffs = dft_forward(scaled).coeffs
     c0 = coeffs[g.n // 2, g.n // 2]
@@ -225,8 +217,8 @@ def diagnostics(report: ExtremizerReport, w: TimeWindow) -> DiagnosticsSummary:
     """Recompute the reported quotient and residual at doubled time resolution
     and probe the weak form <g, Lambda f> = omega <g, f> with random fields.
 
-    The refined residual projects Lambda f onto the guarded band, the same
-    stationarity condition that run_iteration converges to."""
+    The refined residual is formed from el_map's band-projected Lambda f,
+    the same stationarity condition that run_iteration converges to."""
     f = _normalize(report.final_field)
     fine = w.refined()
     q_fine = spacetime_norm(f, fine)

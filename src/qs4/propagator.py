@@ -1,5 +1,5 @@
 """Fourier-multiplier evolution operators, the A0 frequency map, and exact
-separable resampling by diagonal dilations.
+resampling by isotropic dilations.
 
 A0 maps frequencies: the modulation limit evolves phi under the symbol
 -|A0 xi|^2, so no field is resampled through A0.
@@ -10,6 +10,7 @@ exp(+i t |xi|^4).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,25 +126,19 @@ def check_support_guard(f: Field) -> None:
         )
 
 
-def resample_linear(f: Field, matrix: np.ndarray) -> Field:
-    """Return |det M|^{1/2} f(M x) for a diagonal M = diag(a1, a2).
+def resample_linear(f: Field, a: float) -> Field:
+    """Return a f(a x), the L2-unitary dilation by a positive scalar a.
 
     The Fourier series of f is summed exactly at the dilated points as
-    E1 @ C @ E2.T with Ej[i, k] = exp(i aj x_i xi_k), which costs O(n^3).
-    A row of Ej is zero where aj x_i leaves the fundamental domain: there
+    E @ C @ E.T with E[i, k] = exp(i a x_i xi_k), which costs O(n^3).
+    A row of E is zero where a x_i leaves the fundamental domain: there
     the Schwartz-like field is taken to vanish, which models the R^2
     composition rather than its periodization.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (2, 2) or matrix[0, 1] != 0 or matrix[1, 0] != 0:
-        raise ValidationError(f"resampling map must be a diagonal 2x2 matrix, got {matrix.tolist()}")
+    if not isinstance(a, numbers.Real) or not 0 < a < np.inf:
+        raise ValidationError(f"dilation factor must be a positive finite scalar, got {a!r}")
     check_support_guard(f)
     g = f.grid
-
-    def axis_factor(a):
-        y = a * g.x
-        return np.where((np.abs(y) <= g.extent / 2)[:, None], np.exp(1j * np.outer(y, g.xi)), 0)
-
-    e1, e2 = (axis_factor(a) for a in np.diag(matrix))
-    values = e1 @ dft_forward(f).coeffs @ e2.T / g.extent ** 2
-    return Field(g, np.sqrt(abs(np.linalg.det(matrix))) * values)
+    y = a * g.x
+    e = np.where((np.abs(y) <= g.extent / 2)[:, None], np.exp(1j * np.outer(y, g.xi)), 0)
+    return Field(g, a * (e @ dft_forward(f).coeffs @ e.T / g.extent ** 2))

@@ -146,6 +146,14 @@ class TestExitCodes:
         assert "qs4: error: rng seeds must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_extremize_window_too_short_is_guard_error(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        rc = parse_and_run(["extremize", "--grid-n", "64", "--extent", "64", "--nt", "65",
+                            "--t-max", "0.05", "--out", str(out)])
+        assert rc == 2
+        assert "endpoint slices" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_values, message", [
         ("4,8,16,64", "geometric ladder"),
         ("4,8,16,32", "guarded band"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qs4.errors import ValidationError
+from qs4.errors import TailTestError, ValidationError
 from qs4.extremizer import (
     DiagnosticsSummary,
     ExtremizerReport,
@@ -96,6 +96,14 @@ class TestRunIteration:
         other = run_iteration(cfg)
         q_ref = converged.quotient_history[-1]
         assert abs(other.quotient_history[-1] - q_ref) / q_ref < 0.01
+
+    def test_final_field_passes_tail_gate(self):
+        # the ascent converges in a few steps, but the endpoint slices of the
+        # short window hold about 4e-3 of the norm's integral
+        cfg = IterationConfig(grid=make_grid(64, 64.0), window=TimeWindow(0.05, 65),
+                              seed_width=1.05)
+        with pytest.raises(TailTestError, match="endpoint slices"):
+            run_iteration(cfg)
 
     def test_grid_mismatch_rejected(self, grid, window):
         cfg = IterationConfig(grid=grid, window=window)

@@ -26,7 +26,7 @@ from qs4.grid import (
     make_grid,
     make_random_field,
 )
-from qs4.propagator import evolve_quartic
+from qs4.propagator import BAND_GUARD_FRACTION, evolve_quartic
 
 
 def _window():
@@ -198,6 +198,28 @@ class TestElMap:
         complex_path = el_map(f_c, w)
         assert np.max(np.abs(real_path.values - complex_path.values)) < 1e-8
 
+    def test_real_path_matches_complex_path_on_nyquist_mass(self):
+        # a real field whose quintic has mass on the Nyquist row and column:
+        # both paths drop it with the rest of the guarded band's complement
+        g = make_grid(32, 16.0)
+        f = Field(g, _bump(g, 5).values.real)
+        w = TimeWindow(1.0, 9)
+        real_path = el_map(f, w).values
+        complex_path = el_map(Field(g, f.values + 1e-13j * f.values), w).values
+        assert np.max(np.abs(real_path - complex_path)) <= 1e-11 * np.max(np.abs(real_path))
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_output_in_guarded_band(self, real):
+        g = make_grid(32, 16.0)
+        f = _bump(g, 5)
+        if real:
+            f = Field(g, f.values.real)
+        coeffs = dft_forward(el_map(f, TimeWindow(1.0, 9))).coeffs
+        outside = g.xi_abs >= BAND_GUARD_FRACTION * g.nyquist
+        # zero before el_map's inverse transform; the round trip back leaves
+        # rounding only
+        assert np.max(np.abs(coeffs[outside])) <= 1e-14 * np.max(np.abs(coeffs))
+
     def test_zero_field_rejected(self):
         g = make_grid(32, 8.0)
         with pytest.raises(ValidationError):
@@ -245,35 +267,30 @@ class TestPadding:
 
     @pytest.mark.parametrize("real", [True, False])
     def test_el_map_matches_full_transform_and_crop(self, real):
-        # sum_t w_t e^{-it Delta^2}[|u|^4 u] with u sampled by a full
-        # transform of the centered embedding and the quintic's full
-        # spectrum cropped to the working band.  For real input el_map sums
-        # the t >= 0 half (t = 0 at half weight) and takes 2 Re, so the
-        # reference does too.
+        # sum_t w_t e^{-it Delta^2}[|u|^4 u] over the whole window, with u
+        # sampled by a full transform of the centered embedding and the
+        # quintic's full spectrum cropped to the working band, then projected
+        # onto the guarded band.  For real input el_map sums the t >= 0 half
+        # and takes 2 Re; the reference does not.
         g = make_grid(32, 16.0)
         f = _bump(g, 5)
-        w = TimeWindow(1.0, 9)
-        times, weights = w.nodes, w.weights.copy()
         if real:
             f = Field(g, f.values.real)
-            times, weights = times[w.n_t // 2:], weights[w.n_t // 2:]
-            weights[0] /= 2
+        w = TimeWindow(1.0, 9)
         n, nn = g.n, PAD_FACTOR * g.n
         lo = (nn - n) // 2
         k = np.arange(-nn // 2, nn // 2)
         sign = (-1.0) ** (k[:, None] + k[None, :])  # dft_forward's alt_sign on the fine lattice
         F = dft_forward(f).coeffs
         acc = np.zeros_like(F)
-        for t, wt in zip(times, weights):
+        for t, wt in zip(w.nodes, w.weights):
             phase = np.exp(1j * t * g.xi_sq ** 2)
             embedded = np.zeros((nn, nn), complex)
             embedded[lo:lo + n, lo:lo + n] = F * phase
             u = np.fft.ifft2(np.fft.ifftshift(sign * embedded)) * (nn / g.extent) ** 2
             quintic = (g.extent / nn) ** 2 * sign * np.fft.fftshift(np.fft.fft2(np.abs(u) ** 4 * u))
             acc += wt * np.conj(phase) * quintic[lo:lo + n, lo:lo + n]
-        ref = dft_inverse(SpectralField(g, acc)).values
-        if real:
-            ref = 2.0 * ref.real
+        ref = dft_inverse(SpectralField(g, acc * (g.xi_abs < BAND_GUARD_FRACTION * g.nyquist))).values
         got = el_map(f, w).values
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 

@@ -141,7 +141,7 @@ class TestOrthogonalityDefect:
     def test_separated_bubbles_nearly_pythagorean(self, separated_setup):
         g, phi, (p1, p2), u = separated_setup
         w = TimeWindow(2.0, 33)
-        result = DecompositionResult([phi, phi], [p1, p2], 0.0 * phi, 0.0)
+        result = DecompositionResult([phi, phi], [p1, p2], 0.0 * phi)
         l2_d, s_d = orthogonality_defect(u, result, w)
         assert l2_d < 1e-3
         assert s_d < 1e-2
@@ -159,7 +159,9 @@ class TestExtractProfiles:
         for prof in result.profiles:
             assert abs(prof.l2_norm() - 1.0) < 0.05
         assert result.remainder.l2_norm() < 0.05 * u.l2_norm()
-        assert result.l2_defect < 1e-3
+        explained = sum(prof.l2_norm() ** 2 for prof in result.profiles)
+        norm_sq = u.l2_norm() ** 2
+        assert abs(norm_sq - explained - result.remainder.l2_norm() ** 2) / norm_sq < 1e-3
 
     def test_remainder_is_projection_onto_reported_atoms(self, separated_setup):
         # full scale and time-shift search; the reported group elements must
