@@ -177,7 +177,7 @@ def decay_scan(grid: Grid2D, s: float, n_values, seeds, w: TimeWindow,
 
     log_n = np.log(n_values)
     log_m = np.log(medians)
-    (slope, intercept), res = np.polyfit(log_n, log_m, 1), None
+    slope, intercept = np.polyfit(log_n, log_m, 1)
     fit = slope * log_n + intercept
     res = float(np.sqrt(np.mean((log_m - fit) ** 2)))
     return DecayFit(

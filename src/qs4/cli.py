@@ -192,10 +192,7 @@ def _build_parser() -> _Parser:
     _add_window_args(p, default_nt=257)
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--seed-width", type=float, default=1.05)
-    p.add_argument("--seed", type=_seed, default=0, help="rng seed for the noise component")
-    p.add_argument("--seed-noise", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.add_argument("--field-out", default=None, help="optional FieldFile for the final field")
 
@@ -224,8 +221,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--coupled", action="store_true")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("decay-fit", help="quartic-exponential fit of a spectrum")
@@ -277,11 +272,8 @@ def _run_propagate(args) -> None:
 def _run_extremize(args) -> None:
     g = make_grid(args.grid_n, args.extent)
     w = TimeWindow(args.t_max, args.nt)
-    cfg = IterationConfig(
-        grid=g, window=w, max_iters=args.iters, tol_residual=args.tol,
-        beta=args.beta, seed_width=args.seed_width,
-        seed_noise=args.seed_noise, rng_seed=args.seed,
-    )
+    cfg = IterationConfig(grid=g, window=w, max_iters=args.iters,
+                          tol_residual=args.tol, seed_width=args.seed_width)
     report = run_iteration(cfg)
     results = {
         "quotient_history": list(report.quotient_history),
@@ -339,7 +331,7 @@ def _run_bilinear_scan(args) -> None:
 
 
 def _run_weight_check(args) -> None:
-    params = WeightParams(mu=args.mu, eps=args.eps, s=args.scale, coupled=args.coupled)
+    params = WeightParams(mu=args.mu, eps=args.eps)
     tuples = sample_constraint_tuples(args.count, args.radius, args.seed)
     report = weight_kernel_check(tuples, params)
     results = {
@@ -376,7 +368,7 @@ def _run_profile_demo(args) -> None:
         [SymmetryParams(h=1.0, x0=(shift / 2, 0.0)) for _ in range(args.index + 1)],
     ]
     u = synthesize_sequence([phi, phi], seqs, args.index, args.noise, args.seed)
-    result = extract_profiles(u, phi, 2, w)
+    result = extract_profiles(u, [phi], 2, w)
     l2_defect, st_defect = orthogonality_defect(u, result, w)
     results = {
         "n_profiles": len(result.profiles),

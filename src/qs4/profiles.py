@@ -199,8 +199,6 @@ def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindo
     The filter works on spectra: each candidate shape is transformed once,
     the residual once per stage, and each score costs one inverse transform.
     """
-    if isinstance(dictionary, Field):
-        dictionary = [dictionary]
     if not dictionary:
         raise ValidationError("empty dictionary")
     if max_profiles < 1:

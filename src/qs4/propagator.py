@@ -34,9 +34,11 @@ __all__ = [
 BAND_GUARD_FRACTION = 0.9
 BAND_GUARD_MASS = 1e-8
 
-# Fields are expected to live (to 1e-8 of their mass) inside this fraction of
-# the half-extent; resampling maps may not pull support beyond it.
+# Fields are expected to live (to SUPPORT_GUARD_MASS of their mass) inside
+# this fraction of the half-extent; resampling maps may not pull support
+# beyond it.
 SAFE_SUPPORT_FRACTION = 0.5
+SUPPORT_GUARD_MASS = 1e-8
 
 
 def check_band_guard(F: SpectralField) -> None:
@@ -112,17 +114,17 @@ class LinearMapA0:
 
 
 def check_support_guard(f: Field) -> None:
-    """Reject fields with more than 1e-8 of their L2 mass outside
-    SAFE_SUPPORT_FRACTION of the half-extent."""
+    """Reject fields with more than SUPPORT_GUARD_MASS of their L2 mass
+    outside SAFE_SUPPORT_FRACTION of the half-extent."""
     g = f.grid
     half = SAFE_SUPPORT_FRACTION * g.extent / 2
     p = np.abs(f.values) ** 2
     outside = (np.abs(g.x[:, None]) > half) | (np.abs(g.x[None, :]) > half)
     total, mass_out = p.sum(), p[outside].sum()
-    if mass_out > 1e-8 * total:
+    if mass_out > SUPPORT_GUARD_MASS * total:
         raise SupportGuardError(
             f"mass fraction {mass_out / total:.3e} outside the periodization-safe "
-            f"region [-{half:.3g}, {half:.3g}]^2 (limit 1e-8)"
+            f"region [-{half:.3g}, {half:.3g}]^2 (limit {SUPPORT_GUARD_MASS:.0e})"
         )
 
 

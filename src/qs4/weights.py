@@ -34,47 +34,19 @@ _MODULUS_FLOOR = 1e-15
 QUARTIC_PROFILE_RESIDUAL = 0.2
 
 
-def _coupled_mu(s: float) -> float:
-    """Largest-ulp-adjusted mu with mu * s**8 == 1.0 exactly in floats."""
-    s8 = s ** 8
-    mu = 1.0 / s8
-    up = down = mu
-    candidates = [mu]
-    for _ in range(8):
-        up = np.nextafter(up, np.inf)
-        down = np.nextafter(down, -np.inf)
-        candidates += [up, down]
-    for cand in candidates:
-        if cand * s8 == 1.0:
-            return float(cand)
-    raise ValidationError(
-        f"no floating-point mu satisfies mu * s^8 = 1 exactly for s = {s!r}; "
-        "pick a dyadic cutoff scale"
-    )
-
-
 @dataclass(frozen=True)
 class WeightParams:
-    """Weight parameters (mu, eps) and the cutoff scale s; in coupled mode mu
-    is slaved to the scale through mu = s^-8."""
+    """Weight parameters (mu, eps); a cutoff scale s enters as mu = s^-8."""
 
     mu: float = 1.0
     eps: float = 0.0
-    s: float = 1.0
-    coupled: bool = False
 
     def __post_init__(self):
-        if not np.isfinite(self.s) or self.s <= 0:
-            raise ValidationError(f"cutoff scale must be positive, got {self.s}")
-        if self.coupled:
-            object.__setattr__(self, "mu", _coupled_mu(self.s))
         if self.mu < 0 or self.eps < 0:
             raise ValidationError("mu and eps must be nonnegative")
-        if self.coupled and self.mu * self.s ** 8 != 1.0:
-            raise ValidationError("coupled mode requires mu * s^8 = 1 exactly")
 
     def to_dict(self) -> dict:
-        return {"mu": self.mu, "eps": self.eps, "s": self.s, "coupled": self.coupled}
+        return {"mu": self.mu, "eps": self.eps}
 
 
 def weight_f(eta, p: WeightParams):

@@ -135,7 +135,6 @@ class TestExitCodes:
         assert "integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["extremize", "--seed", "-1"],
         ["weight-check", "--count", "10", "--seed", "-1"],
         ["profile-demo", "--seed", "-1"],
         ["bilinear-scan", "--seeds", "0,-1"],
@@ -177,18 +176,6 @@ class TestExitCodes:
                             "--out", str(tmp_path / "o.json")])
         assert rc == 3
         assert "kernel bound violated" in capsys.readouterr().err
-
-
-class TestExtremizeCommand:
-    def test_beta_passed_through(self, tmp_path):
-        out = tmp_path / "e.json"
-        rc = parse_and_run(["extremize", "--grid-n", "32", "--extent", "16",
-                            "--nt", "33", "--iters", "3", "--beta", "0.5",
-                            "--out", str(out)])
-        assert rc == 0
-        data = json.loads(out.read_text())
-        assert data["config"]["beta"] == 0.5
-        assert data["results"]["beta_final"] <= 0.5
 
 
 class TestScanCommands:

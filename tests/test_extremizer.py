@@ -39,18 +39,10 @@ class TestIterationConfig:
             IterationConfig(grid=grid, window=window, max_iters=0)
         with pytest.raises(ValidationError):
             IterationConfig(grid=grid, window=window, tol_residual=0.0)
-        with pytest.raises(ValidationError):
-            IterationConfig(grid=grid, window=window, beta=1.5)
 
     def test_seed_is_unit_norm(self, grid, window):
-        cfg = IterationConfig(grid=grid, window=window, seed_width=1.5,
-                              seed_noise=0.05, rng_seed=3)
+        cfg = IterationConfig(grid=grid, window=window, seed_width=1.5)
         assert abs(cfg.make_seed().l2_norm() - 1.0) < 1e-12
-
-    def test_seed_deterministic(self, grid, window):
-        cfg = IterationConfig(grid=grid, window=window, seed_width=1.5,
-                              seed_noise=0.05, rng_seed=3)
-        assert np.array_equal(cfg.make_seed().values, cfg.make_seed().values)
 
 
 class TestRunIteration:
@@ -62,6 +54,12 @@ class TestRunIteration:
     def test_history_nondecreasing(self, converged):
         h = converged.quotient_history
         assert all(b >= a - 1e-8 for a, b in zip(h, h[1:]))
+
+    def test_no_step_rejected(self, converged):
+        # Q is convex with gradient el_map on the band, so the undamped step
+        # never lowers the quotient: every evaluation is an accepted step
+        assert len(converged.quotient_history) == converged.n_iters
+        assert converged.beta_final == 1.0
 
     def test_omega_positive_and_consistent(self, converged):
         assert converged.omega > 0
@@ -86,6 +84,8 @@ class TestRunIteration:
         report = run_iteration(cfg, initial=make_gaussian(grid, width=1.05, modulation=(2.0, 0.0)))
         h = report.quotient_history
         assert all(b >= a - 1e-8 for a, b in zip(h, h[1:]))
+        assert len(h) == report.n_iters
+        assert report.beta_final == 1.0
         # the converged fixture starts from the same seed without the carrier,
         # so its first history entry is the unmodulated baseline quotient
         assert h[-1] >= converged.quotient_history[0] - 1e-8
@@ -154,7 +154,6 @@ class TestDiagnostics:
         summary = diagnostics(converged, window)
         assert not summary.discrepancy_flagged
         assert summary.quotient_discrepancy < 0.01
-        assert np.median(summary.pairing_errors) < 1e-2
         assert summary.residual_refined < 1e-2
 
     def test_zero_iteration_report_flagged(self, converged, window):

@@ -6,6 +6,7 @@ import pytest
 from qs4.errors import NyquistGuardError, SupportGuardError, ValidationError
 from qs4.grid import Field, SpectralField, dft_forward, inner_product, make_gaussian, make_grid, make_random_field
 from qs4.propagator import (
+    SUPPORT_GUARD_MASS,
     LinearMapA0,
     check_band_guard,
     demodulated_phase,
@@ -147,5 +148,6 @@ class TestResample:
     def test_support_guard(self):
         g = make_grid(64, 16.0)
         f = make_gaussian(g, center=(5.0, 5.0), width=1.0)
-        with pytest.raises(SupportGuardError, match=r"mass fraction \d\.\d{3}e[+-]\d+ .*limit 1e-8"):
+        message = rf"mass fraction \d\.\d{{3}}e[+-]\d+ .*limit {SUPPORT_GUARD_MASS:.0e}"
+        with pytest.raises(SupportGuardError, match=message):
             resample_linear(f, 1.0)

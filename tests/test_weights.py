@@ -17,22 +17,15 @@ from qs4.weights import (
 
 
 class TestWeightParams:
-    def test_coupled_mode_exact(self):
-        for s in (0.5, 1.0, 2.0, 1.3):
-            p = WeightParams(s=s, coupled=True)
-            assert p.mu * s ** 8 == 1.0
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             WeightParams(mu=-1.0)
         with pytest.raises(ValidationError):
             WeightParams(eps=-0.5)
-        with pytest.raises(ValidationError):
-            WeightParams(s=0.0)
 
     def test_to_dict(self):
-        p = WeightParams(mu=2.0, eps=0.1, s=0.5)
-        assert p.to_dict() == {"mu": 2.0, "eps": 0.1, "s": 0.5, "coupled": False}
+        p = WeightParams(mu=2.0, eps=0.1)
+        assert p.to_dict() == {"mu": 2.0, "eps": 0.1}
 
 
 class TestWeightF:
