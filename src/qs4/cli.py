@@ -128,7 +128,12 @@ def emit_results(record: dict, format: str, path) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of calling sys.exit, so the exit-code
-    taxonomy stays in one place."""
+    taxonomy stays in one place.  Options must be spelled in full: a prefix
+    is not read as the option it abbreviates, so `extremize --seed` is an
+    error, not `--seed-width`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValidationError(message)

@@ -123,6 +123,19 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         assert parse_and_run(["propagate", "--t", "0.1"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["extremize", "--beta", "0.5"],
+        ["extremize", "--seed", "2"],  # a prefix of --seed-width
+        ["extremize", "--seed-noise", "0.1"],
+        ["weight-check", "--scale", "0.5"],
+        ["weight-check", "--coupled"],
+    ])
+    def test_removed_option_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.json"
+        assert parse_and_run(argv + ["--out", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_numeric_argument(self, tmp_path, capsys):
         rc = parse_and_run(["weight-check", "--mu", "-1.0",
                             "--out", str(tmp_path / "o.json")])
