@@ -29,7 +29,6 @@ from .errors import ValidationError
 from .functional import TimeWindow, spacetime_slices, window_norm
 from .grid import Field, Grid2D, SpectralField, dft_forward
 from .propagator import (
-    BAND_GUARD_FRACTION,
     LinearMapA0,
     check_band_guard,
     check_support_guard,
@@ -85,7 +84,7 @@ def _crop_grid(F: SpectralField, radius: float) -> SpectralField:
     guarded band still contains `radius`."""
     g = F.grid
     n_c = 16
-    while np.pi * n_c / g.extent * BAND_GUARD_FRACTION < 1.05 * radius and n_c < g.n:
+    while Grid2D(n_c, g.extent).band < 1.05 * radius and n_c < g.n:
         n_c *= 2
     if n_c >= g.n:
         return F
@@ -118,10 +117,10 @@ def modulation_scan(phi: Field, magnitudes, direction, w: TimeWindow) -> Modulat
     check_band_guard(F)
     g = phi.grid
     radius = _bump_radius(F)
-    if magnitudes[-1] + radius > BAND_GUARD_FRACTION * g.nyquist:
+    if magnitudes[-1] + radius > g.band:
         raise ValidationError(
             f"largest carrier {magnitudes[-1]} plus bump radius {radius:.2f} "
-            f"exceeds the guarded band {BAND_GUARD_FRACTION * g.nyquist:.2f}"
+            f"exceeds the guarded band {g.band:.2f}"
         )
     Fc = _crop_grid(F, radius)
     points = _lattice_points(Fc.grid)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .functional import TimeWindow, evolve_padded, window_norm
 from .grid import Field, Grid2D, dft_forward, make_random_field, spectral_cutoff
-from .propagator import BAND_GUARD_FRACTION, check_band_guard
+from .propagator import check_band_guard
 
 __all__ = [
     "SeparatedPair",
@@ -71,10 +71,10 @@ class SeparatedPair:
 
 
 def _check_annulus_in_band(grid: Grid2D, s: float, N: float) -> None:
-    if 2 * N * s > BAND_GUARD_FRACTION * grid.nyquist:
+    if 2 * N * s > grid.band:
         raise ValidationError(
             f"annulus edge {2 * N * s:.2f} exceeds the guarded band "
-            f"{BAND_GUARD_FRACTION * grid.nyquist:.2f}; enlarge the grid or shrink the scan"
+            f"{grid.band:.2f}; enlarge the grid or shrink the scan"
         )
 
 

@@ -24,7 +24,6 @@ from .grid import (
     spectral_cutoff,
 )
 from .profiles import SymmetryParams, apply_symmetry
-from .propagator import BAND_GUARD_FRACTION, resample_linear
 
 __all__ = [
     "IterationConfig",
@@ -53,8 +52,8 @@ class IterationConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol_residual <= 0:
-            raise ValidationError("tol_residual must be positive")
+        if not 0 < self.tol_residual < np.inf:
+            raise ValidationError(f"tol_residual must be positive and finite, got {self.tol_residual}")
 
     def make_seed(self) -> Field:
         """The unit-norm Gaussian of width seed_width; pass run_iteration an
@@ -131,7 +130,7 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
         initial = cfg.make_seed()
     elif initial.grid != cfg.grid:
         raise ValidationError("initial field grid does not match the config grid")
-    f = _normalize(spectral_cutoff(initial, 0.0, BAND_GUARD_FRACTION * cfg.grid.nyquist))
+    f = _normalize(spectral_cutoff(initial, 0.0, cfg.grid.band))
 
     beta = 1.0
     lam, omega, quotient, residual = _evaluate(f, cfg.window)
@@ -172,24 +171,24 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
 def recenter(f: Field) -> tuple:
     """Normalize out translation, dilation, and global phase.
 
-    Returns (g, p) with g centered (|f|^2 barycenter at the origin), rescaled
-    so its second moment matches the unit-width Gaussian's, and dephased so
-    the zero-frequency coefficient is real nonnegative; p = (h, x0) describes
-    the removed part, f ~ T_p g up to the discarded constant phase.
+    Returns (g, p) with g centered (|f|^2 barycenter on the torus at the
+    origin), of unit rms radius, and dephased so the zero-frequency
+    coefficient is real nonnegative; p = (h, x0) describes the removed part.
 
-    h is f's rms radius about its barycenter, and g = h f_c(h x) for the
-    centered f_c, so g has unit rms radius. The dilation maps the window
-    with it: g's quotient on [-T/h^4, T/h^4] equals f's on [-T, T]. Unless h
-    is already 1, the dilation goes through resample_linear, so a field with
-    more than SUPPORT_GUARD_MASS of its mass outside the middle half of the
-    box raises SupportGuardError.
+    x0 = (L/2pi) arg sum_x |f|^2 e^{2 pi i x/L} per axis, and h is f's rms
+    radius about x0.  The dilation g = h f_c(h x) of the centered f_c is
+    exact: g lives on Grid2D(n, L/h) with the values h f_c, and g's quotient
+    on [-T/h^4, T/h^4] equals f's on [-T, T].  f is recovered on its own
+    lattice Grid2D(n, h * g.grid.extent) from g.values / h, translated by x0,
+    up to the discarded constant phase.
     """
     g = f.grid
     nrm2 = f.l2_norm() ** 2
     if nrm2 == 0:
         raise ValidationError("cannot recenter the zero field")
     p = np.abs(f.values) ** 2 * g.spacing ** 2 / nrm2
-    xbar = np.array([float(np.sum(g.x[:, None] * p)), float(np.sum(g.x[None, :] * p))])
+    wave = np.exp(2j * np.pi * g.x / g.extent)
+    xbar = g.extent / (2 * np.pi) * np.angle([wave @ p.sum(axis=1), wave @ p.sum(axis=0)])
     centered = apply_symmetry(f, SymmetryParams(x0=tuple(-xbar)))
 
     pc = np.abs(centered.values) ** 2 * g.spacing ** 2 / nrm2
@@ -200,13 +199,12 @@ def recenter(f: Field) -> tuple:
             f"second moment {sigma:.3g} is degenerate for this grid "
             f"(resolvable range ({g.spacing / 2:.3g}, {g.extent / 4:.3g}))"
         )
-    scaled = centered if abs(sigma - 1.0) < 1e-14 else resample_linear(centered, sigma)
 
-    coeffs = dft_forward(scaled).coeffs
+    coeffs = dft_forward(centered).coeffs
     c0 = coeffs[g.n // 2, g.n // 2]
     if abs(c0) <= 1e-12 * np.max(np.abs(coeffs)):
         c0 = coeffs.flat[np.argmax(np.abs(coeffs))]
-    out = Field(g, scaled.values * np.exp(-1j * np.angle(c0)))
+    out = Field(Grid2D(g.n, g.extent / sigma), sigma * centered.values * np.exp(-1j * np.angle(c0)))
     return out, SymmetryParams(h=sigma, x0=tuple(xbar))
 
 

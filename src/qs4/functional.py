@@ -36,7 +36,7 @@ import scipy.fft as sfft
 
 from .errors import TailTestError, ValidationError
 from .grid import Field, Grid2D, SpectralField, dft_forward, dft_inverse
-from .propagator import BAND_GUARD_FRACTION, check_band_guard
+from .propagator import check_band_guard
 
 __all__ = [
     "TimeWindow",
@@ -220,9 +220,9 @@ def q_form(f1: Field, f2: Field, f3: Field, f4: Field, f5: Field, f6: Field,
 def el_map(f: Field, w: TimeWindow) -> Field:
     """Euler-Lagrange map Lambda(f) = P sum_t w_t e^{-it Delta^2}[|u|^4 u],
     u = e^{it Delta^2} f, P the projection onto the band check_band_guard
-    admits (|xi| < BAND_GUARD_FRACTION * Nyquist, clear of the Nyquist row
-    and column): the unique field in that band with <g, Lambda(f)> =
-    Q(g, f, ..., f) for every g in it."""
+    admits (|xi| < grid.band, clear of the Nyquist row and column): the
+    unique field in that band with <g, Lambda(f)> = Q(g, f, ..., f) for
+    every g in it."""
     if f.l2_norm() == 0:
         raise ValidationError("Euler-Lagrange map of the zero field")
     F = dft_forward(f)
@@ -257,7 +257,7 @@ def el_map(f: Field, w: TimeWindow) -> Field:
         return np.einsum("t,tab->ab", weights[chunk], spec * np.conj(phases))
 
     acc = sum(evolve_padded(g, [F.coeffs], g.xi_sq ** 2, times, project))
-    result = dft_inverse(SpectralField(g, acc * (g.xi_abs < BAND_GUARD_FRACTION * g.nyquist)))
+    result = dft_inverse(SpectralField(g, acc * (g.xi_abs < g.band)))
     if real:
         return Field(g, (2.0 * result.values.real).astype(complex))
     return result

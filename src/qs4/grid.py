@@ -41,6 +41,10 @@ __all__ = [
     "make_random_field",
 ]
 
+# Fraction of the Nyquist radius beyond which spectral mass is considered
+# dangerous for oscillatory multipliers.
+BAND_GUARD_FRACTION = 0.9
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -67,6 +71,14 @@ class Grid2D:
     def nyquist(self) -> float:
         """Largest resolvable frequency magnitude per axis, pi*n/extent."""
         return np.pi * self.n / self.extent
+
+    # k1^2 + k2^2 = 0.2025 n^2 has no integer solution for n a power of two,
+    # so no lattice point lies on the band's circle: |xi| > band and
+    # |xi| < band split the lattice.
+    @property
+    def band(self) -> float:
+        """Radius of the guarded band, BAND_GUARD_FRACTION of the Nyquist radius."""
+        return BAND_GUARD_FRACTION * self.nyquist
 
     @cached_property
     def x(self) -> np.ndarray:

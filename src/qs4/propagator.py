@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NyquistGuardError, SupportGuardError, ValidationError
-from .grid import Field, SpectralField, dft_forward, dft_inverse
+from .grid import BAND_GUARD_FRACTION, Field, SpectralField, dft_forward, dft_inverse
 
 __all__ = [
     "LinearMapA0",
@@ -29,9 +29,7 @@ __all__ = [
     "resample_linear",
 ]
 
-# Fraction of the Nyquist radius beyond which spectral mass is considered
-# dangerous for oscillatory multipliers, and the tolerated mass fraction.
-BAND_GUARD_FRACTION = 0.9
+# Spectral mass fraction tolerated outside the guarded band (Grid2D.band).
 BAND_GUARD_MASS = 1e-8
 
 # Fields are expected to live (to SUPPORT_GUARD_MASS of their mass) inside
@@ -42,14 +40,14 @@ SUPPORT_GUARD_MASS = 1e-8
 
 
 def check_band_guard(F: SpectralField) -> None:
-    """Reject spectra with more than BAND_GUARD_MASS of their L2 mass above
-    BAND_GUARD_FRACTION of the Nyquist radius."""
+    """Reject spectra with more than BAND_GUARD_MASS of their L2 mass outside
+    the guarded band, |xi| > grid.band."""
     g = F.grid
     p = np.abs(F.coeffs) ** 2
     total = p.sum()
     if total == 0:
         return
-    high = p[g.xi_abs > BAND_GUARD_FRACTION * g.nyquist].sum()
+    high = p[g.xi_abs > g.band].sum()
     if high > BAND_GUARD_MASS * total:
         raise NyquistGuardError(
             f"spectral mass fraction {high / total:.3e} above "

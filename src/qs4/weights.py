@@ -42,8 +42,8 @@ class WeightParams:
     eps: float = 0.0
 
     def __post_init__(self):
-        if self.mu < 0 or self.eps < 0:
-            raise ValidationError("mu and eps must be nonnegative")
+        if not (0 <= self.mu < np.inf and 0 <= self.eps < np.inf):
+            raise ValidationError(f"mu and eps must be finite and nonnegative, got ({self.mu}, {self.eps})")
 
     def to_dict(self) -> dict:
         return {"mu": self.mu, "eps": self.eps}
@@ -100,8 +100,8 @@ class KernelReport:
 
 def weight_kernel_check(tuples, p: WeightParams) -> KernelReport:
     """Verify the kernel bound <= 1 + 1e-12 on every tuple of an (m, 6, 2)
-    array; a violation is a hard failure because it would falsify the
-    subadditivity of the weight on the resonance surface.
+    array; a violation or a NaN kernel is a hard failure, because a violation
+    would falsify the subadditivity of the weight on the resonance surface.
 
     Rejects an empty or misshapen array, non-finite entries, and rows off the
     resonance surface (|b| above 1e-9 of sum_k |eta_k|^4), where the bound
@@ -126,7 +126,7 @@ def weight_kernel_check(tuples, p: WeightParams) -> KernelReport:
     log_kernel = F[:, 0] - F[:, 1:].sum(axis=1)
     i = int(np.argmax(log_kernel))
     best = float(np.exp(log_kernel[i]))
-    if best > 1 + 1e-12:
+    if not best <= 1 + 1e-12:
         raise QS4Error(
             f"weight kernel bound violated: max exp(F1 - sum F_k) = {best:.17g}"
         )

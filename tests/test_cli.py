@@ -141,6 +141,18 @@ class TestExitCodes:
                             "--out", str(tmp_path / "o.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["weight-check", "--count", "10", "--mu", "nan"],
+        ["weight-check", "--count", "10", "--mu", "inf"],
+        ["weight-check", "--count", "10", "--eps", "nan"],
+        ["extremize", "--tol", "nan"],
+    ])
+    def test_non_finite_parameter_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.json"
+        assert parse_and_run(argv + ["--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fractional_seed_rejected(self, tmp_path, capsys):
         rc = parse_and_run(["bilinear-scan", "--seeds", "1.5",
                             "--out", str(tmp_path / "o.json")])
@@ -189,6 +201,15 @@ class TestExitCodes:
                             "--out", str(tmp_path / "o.json")])
         assert rc == 3
         assert "kernel bound violated" in capsys.readouterr().err
+
+    def test_nan_kernel_is_check_failure(self, tmp_path, capsys):
+        # mu = 1e308 overflows F on tuples of radius 1e3: the kernel is NaN
+        out = tmp_path / "o.json"
+        rc = parse_and_run(["weight-check", "--count", "10", "--radius", "1000",
+                            "--mu", "1e308", "--out", str(out)])
+        assert rc == 3
+        assert "= nan" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestScanCommands:

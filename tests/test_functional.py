@@ -17,6 +17,7 @@ from qs4.functional import (
     strichartz_quotient,
 )
 from qs4.grid import (
+    BAND_GUARD_FRACTION,
     Field,
     SpectralField,
     dft_forward,
@@ -26,7 +27,7 @@ from qs4.grid import (
     make_grid,
     make_random_field,
 )
-from qs4.propagator import BAND_GUARD_FRACTION, evolve_quartic
+from qs4.propagator import evolve_quartic
 
 
 def _window():

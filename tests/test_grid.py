@@ -30,6 +30,14 @@ class TestGrid2D:
         g = make_grid(64, 16.0)
         assert np.isclose(g.nyquist, np.pi * 64 / 16.0)
 
+    @pytest.mark.parametrize("n", [2 ** k for k in range(4, 13)])
+    def test_band_splits_the_lattice(self, n):
+        # no lattice point lies on the band's circle, so the guard's "above
+        # the band" (>) and el_map's "inside the band" (<) are complements
+        for extent in (1.0, 16.0, 64.0, 128.0, 100.3):
+            g = make_grid(n, extent)
+            assert np.array_equal(g.xi_abs > g.band, ~(g.xi_abs < g.band)), extent
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValidationError):
             make_grid(48, 8.0)

@@ -1,5 +1,6 @@
-"""Module layout: no qs4 module imports another module's private names, and
-every module's __all__ names only what it defines."""
+"""Module layout: no qs4 module imports another module's private names,
+every module's __all__ names only what it defines, and the guarded band is
+computed in one place."""
 
 import ast
 import importlib
@@ -35,3 +36,16 @@ def test_star_import_exports_all(name):
     exec(f"from qs4.{name} import *", namespace)
     # errors.py has no __all__: its star import takes every public name
     assert set(getattr(module, "__all__", ())) <= namespace.keys()
+
+
+def test_band_formula_only_in_grid():
+    # Grid2D.band is the one product BAND_GUARD_FRACTION * nyquist; other
+    # modules may name the constant in a message but not compute with it
+    offences = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.BinOp, ast.Compare)) and any(
+                    isinstance(sub, ast.Name) and sub.id == "BAND_GUARD_FRACTION"
+                    for sub in ast.walk(node)):
+                offences.append(f"{path.name}:{node.lineno}")
+    assert offences and all(o.startswith("grid.py:") for o in offences), offences

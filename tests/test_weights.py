@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qs4.errors import ValidationError
+from qs4.errors import QS4Error, ValidationError
 from qs4.grid import SpectralField, dft_forward, make_gaussian, make_grid
 from qs4.weights import (
     WeightParams,
@@ -22,6 +22,13 @@ class TestWeightParams:
             WeightParams(mu=-1.0)
         with pytest.raises(ValidationError):
             WeightParams(eps=-0.5)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"mu": np.nan}, {"mu": np.inf}, {"eps": np.nan}, {"eps": np.inf},
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match="finite"):
+            WeightParams(**kwargs)
 
     def test_to_dict(self):
         p = WeightParams(mu=2.0, eps=0.1)
@@ -125,6 +132,12 @@ class TestKernelBound:
         etas[0, 4, 1] = np.nan
         with pytest.raises(ValidationError):
             weight_kernel_check(etas, WeightParams())
+
+    def test_nan_kernel_fails(self):
+        # F overflows to inf at eta_1 and at eta_4, so the log kernel is
+        # inf - inf = NaN: the bound is not shown, and the check fails
+        with pytest.raises(QS4Error, match="nan"):
+            weight_kernel_check([1e3 * _balanced()], WeightParams(mu=1e308))
 
 
 class TestDecayFit:
