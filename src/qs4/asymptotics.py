@@ -170,8 +170,8 @@ def phase_phi_n(T, X, xi, xi_n) -> np.ndarray:
     xi_n = np.asarray(xi_n, dtype=float)
     X = np.asarray(X, dtype=float)
     mag = float(np.hypot(*xi_n))
-    if mag == 0:
-        raise ValidationError("xi_n must be nonzero")
+    if not 0 < mag < np.inf:
+        raise ValidationError(f"xi_n must be nonzero and finite, got {tuple(xi_n)}")
     return np.sum(X * xi, axis=-1) - T * demodulated_phase(xi, xi_n) / mag ** 2
 
 
@@ -183,6 +183,8 @@ def oscillatory_integral(T: float, X, amplitude: SpectralField, xi_n) -> complex
     X = np.asarray(X, dtype=float)
     if X.shape != (2,):
         raise ValidationError("X must be a 2-vector")
+    if not (np.isfinite(T) and np.all(np.isfinite(X))):
+        raise ValidationError(f"T and X must be finite, got T = {T}, X = {tuple(X)}")
     pts = _lattice_points(g).reshape(-1, 2)
     a = amplitude.coeffs.ravel()
     live = a != 0

@@ -286,6 +286,7 @@ def _run_extremize(args) -> None:
         "omega": report.omega,
         "converged": report.converged,
         "n_iters": report.n_iters,
+        "n_fallbacks": report.n_fallbacks,
         "beta_final": report.beta_final,
     }
     emit_results({"config": _config_echo(args), "results": results}, "json", args.out)

@@ -2,9 +2,11 @@
 
 The stationarity condition for the quotient restricted to the unit L2 sphere
 is Lambda(f) = omega f with omega = <f, Lambda(f)>, so unit-norm extremizers
-are fixed points of f -> Lambda(f)/||Lambda(f)||.  run_iteration drives that
-map undamped, with an ascent guard that halves the step on any quotient
-drop.
+are fixed points of f -> Lambda(f)/||Lambda(f)||.  run_iteration accelerates
+that map by type-II Anderson mixing over the last _DEPTH accepted steps,
+with the ascent guard as its safeguard: a mixed step that lowers the quotient
+is discarded for a plain one (a fallback), and a plain step that lowers it
+halves the step.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ __all__ = [
 _MIN_BETA = 1e-3
 # A step may lower the quotient by this much and still be accepted.
 _ASCENT_SLACK = 1e-8
+# Accepted steps the Anderson mixing combines.  Each holds two fields, so the
+# history costs 2 * _DEPTH * 16 n^2 bytes.
+_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,7 @@ class ExtremizerReport:
     omega: float
     converged: bool
     n_iters: int
+    n_fallbacks: int
     beta_final: float
 
 
@@ -110,21 +116,34 @@ def _evaluate(f: Field, w: TimeWindow) -> tuple:
 
 
 def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> ExtremizerReport:
-    """Iterate f <- normalize((1 - beta) f + beta Lambda(f)/||Lambda(f)||)
-    from beta = 1, the plain fixed-point step.
+    """Drive f to a fixed point of f -> Lambda(f)/||Lambda(f)|| by Anderson
+    mixing, safeguarded by the ascent guard.
 
-    Any step that lowers the quotient by more than _ASCENT_SLACK is
-    rejected and beta halved; below beta = 1e-3 the run aborts as divergent.
-    The recorded quotient history therefore contains accepted steps only and
-    is nondecreasing up to the tolerance.  The sextic form Q is convex on
-    the padded lattice and Lambda is its gradient on the band, so
-    Q(h) >= Q(f) + 6 Re<h - f, Lambda f> >= Q(f) for the plain step h: in
-    exact arithmetic no step is rejected, and the guard is a safeguard.
+    At the iterate f the plain step is
+    g = (1 - beta) f + beta Lambda(f)/||Lambda(f)||, with residual r = g - f,
+    from beta = 1.  The mixed candidate is
+    normalize(g - sum_i gamma_i (g - g_i)), where (g_i, r_i) are the plain
+    steps and residuals of the last _DEPTH accepted iterates and the real
+    gamma minimizes ||r - sum_i gamma_i (r - r_i)||.  Real coefficients keep
+    a real seed's iterates exactly real.
+
+    A mixed candidate that lowers the quotient by more than _ASCENT_SLACK is
+    discarded and counted in n_fallbacks; the next step is then the plain
+    normalize(g), and the mixing history is kept.  A plain step that lowers
+    the quotient is rejected and beta halved; below beta = 1e-3 the run
+    aborts as divergent.  The recorded quotient history therefore contains
+    accepted steps only and is nondecreasing up to the tolerance, and
+    n_iters, the number of el_map evaluations, equals
+    len(quotient_history) + n_fallbacks while beta stays 1.  The sextic form
+    Q is convex on the padded lattice and Lambda is its gradient on the
+    band, so Q(h) >= Q(f) + 6 Re<h - f, Lambda f> >= Q(f) for the plain step
+    h: in exact arithmetic no plain step is rejected.
 
     The seed (or `initial`) is projected once onto el_map's guarded band,
     removing a mass fraction on the order of the guard tolerance; every step
-    then stays in that band, where the ascent is a well-posed maximization.
-    The final field must pass the window's tail gate (TailTestError).
+    is a combination of fields in that band and stays there, where the
+    ascent is a well-posed maximization.  The final field must pass the
+    window's tail gate (TailTestError).
     """
     if initial is None:
         initial = cfg.make_seed()
@@ -137,12 +156,22 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
     history = [quotient]
     converged = residual < cfg.tol_residual
     n_iters = 1
+    n_fallbacks = 0
+    steps, residuals = [], []
+    mixed = False
 
     while not converged and n_iters < cfg.max_iters:
-        candidate = _normalize((1 - beta) * f + (beta / lam.l2_norm()) * lam)
+        g = (1 - beta) * f.values + (beta / lam.l2_norm()) * lam.values
+        r = g - f.values
+        step = _anderson_step(g, r, steps, residuals) if mixed else g
+        candidate = _normalize(Field(f.grid, step))
         lam_c, omega_c, q_c, res_c = _evaluate(candidate, cfg.window)
         n_iters += 1
         if q_c < quotient - _ASCENT_SLACK:
+            if mixed:
+                n_fallbacks += 1
+                mixed = False
+                continue
             beta /= 2
             if beta < _MIN_BETA:
                 raise DivergenceError(
@@ -150,6 +179,10 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
                     f"(iteration {n_iters})"
                 )
             continue
+        steps.append(g)
+        residuals.append(r)
+        del steps[:-_DEPTH], residuals[:-_DEPTH]
+        mixed = True
         f, lam, omega, quotient, residual = candidate, lam_c, omega_c, q_c, res_c
         history.append(quotient)
         converged = residual < cfg.tol_residual
@@ -164,8 +197,31 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
         omega=float(omega),
         converged=bool(converged),
         n_iters=n_iters,
+        n_fallbacks=n_fallbacks,
         beta_final=beta,
     )
+
+
+def _anderson_step(g: np.ndarray, r: np.ndarray, steps: list, residuals: list) -> np.ndarray:
+    """g - sum_i gamma_i (g - g_i), gamma the real least-squares solution of
+    r ~ sum_i gamma_i (r - r_i).
+
+    The m x m normal equations come from pairwise real inner products, with
+    1e-12 of their trace added to the diagonal against a degenerate history;
+    no n^2 x m matrix is formed, so no BLAS product runs on it.
+    """
+    diffs = [r - ri for ri in residuals]
+    m = len(diffs)
+    gram = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            gram[i, j] = gram[j, i] = np.vdot(diffs[i], diffs[j]).real
+    gram[np.diag_indices(m)] += 1e-12 * np.trace(gram)
+    gamma = np.linalg.solve(gram, [np.vdot(d, r).real for d in diffs])
+    step = (1.0 - gamma.sum()) * g
+    for c, gi in zip(gamma, steps):
+        step += c * gi
+    return step
 
 
 def recenter(f: Field) -> tuple:

@@ -64,8 +64,8 @@ def sample_constraint_tuples(count: int, radius: float, rng_seed: int) -> np.nda
     float (count, 6, 2) array, eta_1 first.  Deterministic in the seed."""
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    if radius <= 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
+    if not 0 < radius < np.inf:
+        raise ValidationError(f"radius must be positive and finite, got {radius}")
     rng = np.random.default_rng(rng_seed)
     batches = []
     kept = attempts = 0

@@ -103,6 +103,11 @@ class TestPhaseFunction:
         with pytest.raises(ValidationError):
             phase_phi_n(1.0, (0.0, 0.0), np.array([1.0, 0.0]), (0.0, 0.0))
 
+    @pytest.mark.parametrize("xi_n", [(np.nan, 0.0), (np.inf, 1.0)])
+    def test_non_finite_carrier_rejected(self, xi_n):
+        with pytest.raises(ValidationError, match="xi_n must be nonzero and finite"):
+            phase_phi_n(1.0, (0.0, 0.0), np.array([1.0, 0.0]), xi_n)
+
 
 class TestOscillatoryIntegral:
     def test_value_at_origin(self, amplitude):
@@ -119,6 +124,12 @@ class TestOscillatoryIntegral:
             val = abs(oscillatory_integral(T, (0.0, 0.0), amplitude, (1e6, 0.0)))
             oracle = np.pi / ((a ** 2 + 36 * T ** 2) * (a ** 2 + 4 * T ** 2)) ** 0.25
             assert abs(val - oracle) / oracle < 1e-2
+
+    @pytest.mark.parametrize("T, X", [(np.nan, (0.0, 0.0)), (np.inf, (0.0, 0.0)),
+                                      (1.0, (np.nan, 0.0)), (1.0, (0.0, -np.inf))])
+    def test_non_finite_rejected(self, amplitude, T, X):
+        with pytest.raises(ValidationError, match="finite"):
+            oscillatory_integral(T, X, amplitude, (1e6, 0.0))
 
     def test_empty_amplitude_rejected(self):
         g = make_grid(64, 16.0)

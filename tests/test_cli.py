@@ -146,6 +146,12 @@ class TestExitCodes:
         ["weight-check", "--count", "10", "--mu", "inf"],
         ["weight-check", "--count", "10", "--eps", "nan"],
         ["extremize", "--tol", "nan"],
+        ["weight-check", "--count", "10", "--radius", "nan"],
+        ["weight-check", "--count", "10", "--radius", "inf"],
+        ["oscillatory-check", "--t-values", "nan"],
+        ["oscillatory-check", "--t-values", "1,nan"],
+        ["oscillatory-check", "--x-values", "nan"],
+        ["oscillatory-check", "--xi-n", "nan,0"],
     ])
     def test_non_finite_parameter_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "o.json"

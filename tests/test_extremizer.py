@@ -59,9 +59,10 @@ class TestRunIteration:
         assert all(b >= a - 1e-8 for a, b in zip(h, h[1:]))
 
     def test_no_step_rejected(self, converged):
-        # Q is convex with gradient el_map on the band, so the undamped step
-        # never lowers the quotient: every evaluation is an accepted step
-        assert len(converged.quotient_history) == converged.n_iters
+        # Q is convex with gradient el_map on the band, so the plain step
+        # never lowers the quotient: every evaluation is an accepted step or
+        # a discarded mixed one, and beta never halves
+        assert len(converged.quotient_history) + converged.n_fallbacks == converged.n_iters
         assert converged.beta_final == 1.0
 
     def test_omega_positive_and_consistent(self, converged):
@@ -87,7 +88,7 @@ class TestRunIteration:
         report = run_iteration(cfg, initial=make_gaussian(grid, width=1.05, modulation=(2.0, 0.0)))
         h = report.quotient_history
         assert all(b >= a - 1e-8 for a, b in zip(h, h[1:]))
-        assert len(h) == report.n_iters
+        assert len(h) + report.n_fallbacks == report.n_iters
         assert report.beta_final == 1.0
         # the converged fixture starts from the same seed without the carrier,
         # so its first history entry is the unmodulated baseline quotient
@@ -98,7 +99,35 @@ class TestRunIteration:
                               seed_width=1.4)
         other = run_iteration(cfg)
         q_ref = converged.quotient_history[-1]
-        assert abs(other.quotient_history[-1] - q_ref) / q_ref < 0.01
+        assert abs(other.quotient_history[-1] - q_ref) / q_ref < 1e-6
+
+    def test_mixed_step_falls_back(self):
+        # on the benchmark's extremal lattice some mixed candidates lower the
+        # quotient; each is discarded for a plain step, so the accepted
+        # history stays nondecreasing, and the run still needs under 50 of
+        # the plain ascent's 69-71 el_map calls
+        cfg = IterationConfig(grid=make_grid(64, 64.0), window=TimeWindow(2.0, 65),
+                              seed_width=1.05)
+        report = run_iteration(cfg)
+        h = report.quotient_history
+        assert report.n_fallbacks >= 1
+        assert all(b >= a - 1e-8 for a, b in zip(h, h[1:]))
+        assert report.converged
+        assert report.n_iters <= 50
+
+    def test_one_fixed_point(self):
+        # run to a residual of 1e-8, seeds of different widths reach the same
+        # extremizer; the plain ascent's 1e-3 stop leaves the dilation drift
+        grid = make_grid(64, 64.0)
+        window = TimeWindow(2.0, 129)
+        quotients = []
+        for width in (1.05, 1.4):
+            cfg = IterationConfig(grid=grid, window=window, tol_residual=1e-8,
+                                  seed_width=width)
+            report = run_iteration(cfg)
+            assert report.converged
+            quotients.append(report.quotient_history[-1])
+        assert abs(quotients[1] - quotients[0]) / quotients[0] < 1e-9
 
     def test_final_field_passes_tail_gate(self):
         # the ascent converges in a few steps, but the endpoint slices of the
@@ -177,6 +206,6 @@ class TestDiagnostics:
     def test_zero_iteration_report_flagged(self, converged, window):
         fake = ExtremizerReport(quotient_history=(), final_field=converged.final_field,
                                 residual=1.0, omega=1.0, converged=False,
-                                n_iters=0, beta_final=1.0)
+                                n_iters=0, n_fallbacks=0, beta_final=1.0)
         summary = diagnostics(fake, window)
         assert summary.discrepancy_flagged

@@ -1,9 +1,13 @@
 """Module layout: no qs4 module imports another module's private names,
-every module's __all__ names only what it defines, and the guarded band is
-computed in one place."""
+every module's __all__ names only what it defines, the guarded band is
+computed in one place, and importing the CLI loads no heavy scipy
+subpackage."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,15 @@ def test_band_formula_only_in_grid():
                     for sub in ast.walk(node)):
                 offences.append(f"{path.name}:{node.lineno}")
     assert offences and all(o.startswith("grid.py:") for o in offences), offences
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    # every qs4 run pays the CLI's import time; scipy.linalg adds about 40 ms
+    # to it and scipy.optimize about 145 ms, and nothing in qs4 needs them
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    heavy = ("scipy.linalg", "scipy.optimize", "scipy.sparse")
+    code = f"import sys, qs4.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]", out.stdout

@@ -74,6 +74,13 @@ class TestSampler:
         # eta_2..eta_6 drawn in the ball; eta_1 solved, can only be smaller
         assert np.all(np.sum(etas ** 2, axis=-1) <= (2.0 ** 2) * 3 + 1e-9)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_radius_rejected(self, radius):
+        # a NaN radius once passed the positivity test and drew NaN tuples
+        # until the rejection-rate guard fired
+        with pytest.raises(ValidationError, match="radius must be positive and finite"):
+            sample_constraint_tuples(10, radius, 0)
+
     @settings(max_examples=25, deadline=None)
     @given(count=st.integers(1, 300), radius=st.floats(0.1, 10.0),
            seed=st.integers(0, 2 ** 32 - 1), eps=st.floats(0.0, 10.0))
