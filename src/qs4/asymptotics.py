@@ -104,9 +104,11 @@ def modulation_scan(phi: Field, magnitudes, direction, w: TimeWindow) -> Modulat
     the rescaled time T = m^2 t covers the same fixed range [-t_max, t_max]
     for every scan point and for the second-order reference.
     """
+    magnitudes = [float(m) for m in magnitudes]
+    if not np.isfinite([*direction, *magnitudes]).all():
+        raise ValidationError(f"direction and magnitudes must be finite, got {direction}, {magnitudes}")
     a0 = LinearMapA0(direction)
     direction = np.asarray(a0.direction)
-    magnitudes = [float(m) for m in magnitudes]
     if len(magnitudes) < 2 or any(b <= a for a, b in zip(magnitudes, magnitudes[1:])):
         raise ValidationError("need at least two strictly increasing magnitudes")
     if magnitudes[0] < 0:

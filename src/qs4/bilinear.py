@@ -154,6 +154,8 @@ def decay_scan(grid: Grid2D, s: float, n_values, seeds, w: TimeWindow,
     before any pair is built.
     """
     n_values = [float(N) for N in n_values]
+    if not np.isfinite([s, *n_values]).all():
+        raise ValidationError(f"scale and separations must be finite, got {s}, {n_values}")
     if len(n_values) < 4:
         raise ValidationError("need at least four separation values")
     ratios = [b / a for a, b in zip(n_values, n_values[1:])]

@@ -287,7 +287,6 @@ def _run_extremize(args) -> None:
         "converged": report.converged,
         "n_iters": report.n_iters,
         "n_fallbacks": report.n_fallbacks,
-        "beta_final": report.beta_final,
     }
     emit_results({"config": _config_echo(args), "results": results}, "json", args.out)
     if args.field_out:
@@ -387,6 +386,8 @@ def _run_profile_demo(args) -> None:
 
 
 def _run_oscillatory_check(args) -> None:
+    if not 0 < args.support_radius < np.inf:
+        raise ValidationError(f"support radius must be positive and finite, got {args.support_radius}")
     # The amplitude lives on the frequency lattice directly: a truncated
     # Gaussian on a fine-spacing grid, so the quadrature resolves the phase
     # oscillation up to the largest requested T and |X|.

@@ -27,8 +27,8 @@ class TailTestError(NumericalGuardError):
 
 
 class SupportGuardError(NumericalGuardError):
-    """A resampling map would drag field support outside the safe region."""
+    """Mass outside the safe region: in modulation_scan's bump, or dragged there by a resampling map."""
 
 
 class DivergenceError(NumericalGuardError):
-    """The fixed-point iteration failed to ascend even at minimal damping."""
+    """A plain step of the fixed-point ascent lowered the quotient."""

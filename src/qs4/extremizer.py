@@ -3,14 +3,15 @@
 The stationarity condition for the quotient restricted to the unit L2 sphere
 is Lambda(f) = omega f with omega = <f, Lambda(f)>, so unit-norm extremizers
 are fixed points of f -> Lambda(f)/||Lambda(f)||.  run_iteration accelerates
-that map by type-II Anderson mixing over the last _DEPTH accepted steps,
-with the ascent guard as its safeguard: a mixed step that lowers the quotient
-is discarded for a plain one (a fallback), and a plain step that lowers it
-halves the step.
+that map by type-II Anderson mixing over the last _DEPTH accepted steps, so
+it knows two step rules, the plain step and the mixed one.  The ascent guard
+is the safeguard: a mixed step that lowers the quotient is discarded for a
+plain one (a fallback), and a plain step that lowers it aborts the run.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ __all__ = [
     "diagnostics",
 ]
 
-_MIN_BETA = 1e-3
 # A step may lower the quotient by this much and still be accepted.
 _ASCENT_SLACK = 1e-8
 # Accepted steps the Anderson mixing combines.  Each holds two fields, so the
@@ -78,7 +78,6 @@ class ExtremizerReport:
     converged: bool
     n_iters: int
     n_fallbacks: int
-    beta_final: float
 
 
 @dataclass(frozen=True)
@@ -119,25 +118,22 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
     """Drive f to a fixed point of f -> Lambda(f)/||Lambda(f)|| by Anderson
     mixing, safeguarded by the ascent guard.
 
-    At the iterate f the plain step is
-    g = (1 - beta) f + beta Lambda(f)/||Lambda(f)||, with residual r = g - f,
-    from beta = 1.  The mixed candidate is
+    At the iterate f the plain step is g = Lambda(f)/||Lambda(f)||, with
+    residual r = g - f.  The mixed candidate is
     normalize(g - sum_i gamma_i (g - g_i)), where (g_i, r_i) are the plain
     steps and residuals of the last _DEPTH accepted iterates and the real
     gamma minimizes ||r - sum_i gamma_i (r - r_i)||.  Real coefficients keep
     a real seed's iterates exactly real.
 
     A mixed candidate that lowers the quotient by more than _ASCENT_SLACK is
-    discarded and counted in n_fallbacks; the next step is then the plain
-    normalize(g), and the mixing history is kept.  A plain step that lowers
-    the quotient is rejected and beta halved; below beta = 1e-3 the run
-    aborts as divergent.  The recorded quotient history therefore contains
-    accepted steps only and is nondecreasing up to the tolerance, and
-    n_iters, the number of el_map evaluations, equals
-    len(quotient_history) + n_fallbacks while beta stays 1.  The sextic form
-    Q is convex on the padded lattice and Lambda is its gradient on the
-    band, so Q(h) >= Q(f) + 6 Re<h - f, Lambda f> >= Q(f) for the plain step
-    h: in exact arithmetic no plain step is rejected.
+    discarded for the plain step normalize(g) and counted in n_fallbacks;
+    the mixing history is kept.  The sextic form Q is convex on the padded
+    lattice with gradient Lambda on the band, so
+    Q(h) >= Q(f) + 6 Re<h - f, Lambda f> >= Q(f) for h = g, and damping
+    toward f cannot rescue a plain step that fails: that means rounding
+    above the slack or a broken gradient, and raises DivergenceError.  The
+    history holds accepted steps only, nondecreasing up to the slack, and
+    n_iters (el_map evaluations) = len(quotient_history) + n_fallbacks.
 
     The seed (or `initial`) is projected once onto el_map's guarded band,
     removing a mass fraction on the order of the guard tolerance; every step
@@ -151,37 +147,32 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
         raise ValidationError("initial field grid does not match the config grid")
     f = _normalize(spectral_cutoff(initial, 0.0, cfg.grid.band))
 
-    beta = 1.0
     lam, omega, quotient, residual = _evaluate(f, cfg.window)
     history = [quotient]
     converged = residual < cfg.tol_residual
     n_iters = 1
     n_fallbacks = 0
-    steps, residuals = [], []
+    steps, residuals = deque(maxlen=_DEPTH), deque(maxlen=_DEPTH)
     mixed = False
 
     while not converged and n_iters < cfg.max_iters:
-        g = (1 - beta) * f.values + (beta / lam.l2_norm()) * lam.values
+        g = (1.0 / lam.l2_norm()) * lam.values
         r = g - f.values
         step = _anderson_step(g, r, steps, residuals) if mixed else g
         candidate = _normalize(Field(f.grid, step))
         lam_c, omega_c, q_c, res_c = _evaluate(candidate, cfg.window)
         n_iters += 1
         if q_c < quotient - _ASCENT_SLACK:
-            if mixed:
-                n_fallbacks += 1
-                mixed = False
-                continue
-            beta /= 2
-            if beta < _MIN_BETA:
+            if not mixed:
                 raise DivergenceError(
-                    f"quotient still dropping at beta = {beta:.2e} "
-                    f"(iteration {n_iters})"
+                    f"plain step lowered the quotient from {quotient:.12g} "
+                    f"to {q_c:.12g} (evaluation {n_iters})"
                 )
+            n_fallbacks += 1
+            mixed = False
             continue
         steps.append(g)
         residuals.append(r)
-        del steps[:-_DEPTH], residuals[:-_DEPTH]
         mixed = True
         f, lam, omega, quotient, residual = candidate, lam_c, omega_c, q_c, res_c
         history.append(quotient)
@@ -198,11 +189,10 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
         converged=bool(converged),
         n_iters=n_iters,
         n_fallbacks=n_fallbacks,
-        beta_final=beta,
     )
 
 
-def _anderson_step(g: np.ndarray, r: np.ndarray, steps: list, residuals: list) -> np.ndarray:
+def _anderson_step(g: np.ndarray, r: np.ndarray, steps: deque, residuals: deque) -> np.ndarray:
     """g - sum_i gamma_i (g - g_i), gamma the real least-squares solution of
     r ~ sum_i gamma_i (r - r_i).
 

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from qs4.extremizer import IterationConfig, run_iteration
-from qs4.functional import TimeWindow
+from qs4.functional import TimeWindow, el_map
 from qs4.grid import make_grid
 
 
@@ -22,3 +22,19 @@ def extremal_run():
     start = time.monotonic()
     report = run_iteration(cfg)
     return report, time.monotonic() - start
+
+
+@pytest.fixture
+def shrinking_el_map(monkeypatch):
+    """Make the ascent's el_map return 0.5^k el_map(f, w) on its k-th call
+    (from 0), and return the list of calls.  Every step keeps its direction,
+    but each quotient is 11% below the last, so the first plain step fails.
+    """
+    calls = []
+
+    def shrinking(f, w):
+        calls.append(None)
+        return 0.5 ** (len(calls) - 1) * el_map(f, w)
+
+    monkeypatch.setattr("qs4.extremizer.el_map", shrinking)
+    return calls

@@ -54,6 +54,19 @@ class TestModulationScan:
         with pytest.raises(ValidationError):
             modulation_scan(phi, [8.0, 4.0], (1.0, 0.0), TimeWindow(2.0, 33))
 
+    @pytest.mark.parametrize("magnitudes, direction", [
+        ([4.0, 8.0], (np.nan, 0.0)),
+        ([4.0, 8.0], (np.inf, 0.0)),
+        ([2.0, np.nan], (1.0, 0.0)),
+        ([2.0, np.inf], (1.0, 0.0)),
+    ])
+    def test_rejects_non_finite_inputs(self, magnitudes, direction):
+        # a NaN direction passed the unit-vector test and gave NaN norms
+        g = make_grid(64, 16.0)
+        phi = make_gaussian(g, width=0.8)
+        with pytest.raises(ValidationError, match="finite"):
+            modulation_scan(phi, magnitudes, direction, TimeWindow(2.0, 33))
+
     @pytest.mark.parametrize("theta", [0.0, 0.7])
     def test_limit_reference_closed_form(self, theta):
         # A0 leaves the unit Gaussian of width w with widths a1 = w/sqrt 6 and

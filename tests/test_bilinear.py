@@ -140,6 +140,21 @@ class TestDecayScan:
         with pytest.raises(ValidationError, match="guarded band"):
             decay_scan(g, 0.5, [2.0, 4.0, 8.0, 16.0], [0], TimeWindow(0.5, 17))
 
+    @pytest.mark.parametrize("s, n_values", [
+        (np.nan, [2.0, 4.0, 8.0, 16.0]),
+        (0.5, [2.0, 2.5, 3.125, np.nan]),
+        (0.5, [2.0, 4.0, 8.0, np.inf]),
+    ])
+    def test_rejects_non_finite_inputs(self, monkeypatch, s, n_values):
+        # a NaN passes the ladder and band comparisons; it is rejected first
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("a pair was built")
+
+        monkeypatch.setattr("qs4.bilinear.make_separated_pair", no_pairs)
+        g = make_grid(64, 16.0)
+        with pytest.raises(ValidationError, match="finite"):
+            decay_scan(g, s, n_values, [0], TimeWindow(0.5, 17))
+
 
 class TestJacobian:
     def test_closed_form(self):

@@ -152,11 +152,24 @@ class TestExitCodes:
         ["oscillatory-check", "--t-values", "1,nan"],
         ["oscillatory-check", "--x-values", "nan"],
         ["oscillatory-check", "--xi-n", "nan,0"],
+        ["modulation-scan", "--direction", "nan,0"],
+        ["modulation-scan", "--magnitudes", "2,nan"],
+        ["bilinear-scan", "--n-values", "2,2.5,3.125,nan"],
+        ["bilinear-scan", "--scale", "nan"],
     ])
     def test_non_finite_parameter_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "o.json"
         assert parse_and_run(argv + ["--out", str(out)]) == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-4", "0"])
+    def test_bad_support_radius_rejected(self, tmp_path, capsys, radius):
+        # the radius is squared, so -4 had truncated as 4, and 0 kept only xi = 0
+        out = tmp_path / "o.csv"
+        assert parse_and_run(["oscillatory-check", "--support-radius", radius,
+                              "--out", str(out)]) == 1
+        assert "positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fractional_seed_rejected(self, tmp_path, capsys):
@@ -175,6 +188,15 @@ class TestExitCodes:
         assert parse_and_run(argv + ["--out", str(out)]) == 1
         assert "qs4: error: rng seeds must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_extremize_failed_plain_step_is_guard_error(self, tmp_path, capsys,
+                                                         shrinking_el_map):
+        out, field_out = tmp_path / "o.json", tmp_path / "f.qs4f"
+        rc = parse_and_run(["extremize", "--grid-n", "64", "--extent", "64", "--nt", "65",
+                            "--out", str(out), "--field-out", str(field_out)])
+        assert rc == 2
+        assert "numerical guard" in capsys.readouterr().err
+        assert not out.exists() and not field_out.exists()
 
     def test_extremize_window_too_short_is_guard_error(self, tmp_path, capsys):
         out = tmp_path / "o.json"
@@ -216,6 +238,19 @@ class TestExitCodes:
         assert rc == 3
         assert "= nan" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestExtremizeCommand:
+    def test_record(self, tmp_path):
+        out = tmp_path / "e.json"
+        assert parse_and_run(["extremize", "--grid-n", "64", "--extent", "64", "--nt", "65",
+                              "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert set(res) == {"quotient_history", "residual", "omega", "converged",
+                            "n_iters", "n_fallbacks"}
+        h = res["quotient_history"]
+        assert res["n_iters"] == len(h) + res["n_fallbacks"]
+        assert all(b >= a - 1e-8 for a, b in zip(h, h[1:]))
 
 
 class TestScanCommands:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qs4.errors import TailTestError, ValidationError
+from qs4.errors import DivergenceError, TailTestError, ValidationError
 from qs4.extremizer import (
     DiagnosticsSummary,
     ExtremizerReport,
@@ -60,10 +60,9 @@ class TestRunIteration:
 
     def test_no_step_rejected(self, converged):
         # Q is convex with gradient el_map on the band, so the plain step
-        # never lowers the quotient: every evaluation is an accepted step or
-        # a discarded mixed one, and beta never halves
+        # never lowers the quotient (one that did would have raised): every
+        # evaluation is an accepted step or a discarded mixed one
         assert len(converged.quotient_history) + converged.n_fallbacks == converged.n_iters
-        assert converged.beta_final == 1.0
 
     def test_omega_positive_and_consistent(self, converged):
         assert converged.omega > 0
@@ -89,7 +88,6 @@ class TestRunIteration:
         h = report.quotient_history
         assert all(b >= a - 1e-8 for a, b in zip(h, h[1:]))
         assert len(h) + report.n_fallbacks == report.n_iters
-        assert report.beta_final == 1.0
         # the converged fixture starts from the same seed without the carrier,
         # so its first history entry is the unmodulated baseline quotient
         assert h[-1] >= converged.quotient_history[0] - 1e-8
@@ -128,6 +126,14 @@ class TestRunIteration:
             assert report.converged
             quotients.append(report.quotient_history[-1])
         assert abs(quotients[1] - quotients[0]) / quotients[0] < 1e-9
+
+    def test_failed_plain_step_raises(self, shrinking_el_map):
+        # the run stops on the evaluation of the first plain step
+        cfg = IterationConfig(grid=make_grid(64, 64.0), window=TimeWindow(2.0, 65),
+                              seed_width=1.05)
+        with pytest.raises(DivergenceError, match="plain step lowered the quotient"):
+            run_iteration(cfg)
+        assert len(shrinking_el_map) == 2
 
     def test_final_field_passes_tail_gate(self):
         # the ascent converges in a few steps, but the endpoint slices of the
@@ -206,6 +212,6 @@ class TestDiagnostics:
     def test_zero_iteration_report_flagged(self, converged, window):
         fake = ExtremizerReport(quotient_history=(), final_field=converged.final_field,
                                 residual=1.0, omega=1.0, converged=False,
-                                n_iters=0, n_fallbacks=0, beta_final=1.0)
+                                n_iters=0, n_fallbacks=0)
         summary = diagnostics(fake, window)
         assert summary.discrepancy_flagged
