@@ -388,6 +388,8 @@ def _run_profile_demo(args) -> None:
 def _run_oscillatory_check(args) -> None:
     if not 0 < args.support_radius < np.inf:
         raise ValidationError(f"support radius must be positive and finite, got {args.support_radius}")
+    if not 0 < args.freq_width < np.inf:
+        raise ValidationError(f"frequency width must be positive and finite, got {args.freq_width}")
     # The amplitude lives on the frequency lattice directly: a truncated
     # Gaussian on a fine-spacing grid, so the quadrature resolves the phase
     # oscillation up to the largest requested T and |X|.

@@ -7,23 +7,32 @@ if the integrand slices at the endpoints contribute less than TAIL_FRACTION
 of the accumulated p-th power.
 
 All four quantities, and the bilinear product norm, run on one kernel,
-evolve_padded.  It evolves the spectra to a chunk of time nodes, embeds them
-zero-padded by PAD_FACTOR per axis and inverse-transforms them, so pointwise
-products (the |u|^4 u quintic, Q's six-fold product, the sixth power inside
-the norm) are formed on the refined lattice and the working band is never
-contaminated by wrapped frequencies.  A per-chunk operation supplied by the
-caller reduces the padded samples, and the kernel keeps only its small
-result: each chunk's padded arrays are freed before the next chunk is
-evolved.  A chunk holds at most _TIME_CHUNK nodes and _CHUNK_BYTES of padded
-samples (but at least one node), so memory stays bounded at any lattice size.
+evolve_padded, the only code that knows the padded lattice.  It evolves the
+spectra to a chunk of time nodes, embeds them zero-padded by PAD_FACTOR per
+axis and inverse-transforms them, so pointwise products (the |u|^4 u
+quintic, Q's six-fold product, the sixth power inside the norm) are formed
+on the refined lattice.  Every spectrum must pass check_band_guard at the
+kernel's entry: that guard is the condition under which the padded products
+keep wrapped frequencies out of the working band.  A per-chunk operation
+supplied by the caller reduces the padded samples to a plain lattice sum,
+and the kernel returns it times the refined lattice's cell area.  Each
+chunk's padded arrays are freed before the next chunk is evolved.  A chunk
+holds at most _TIME_CHUNK nodes and _CHUNK_BYTES of padded samples (but at
+least one node), so memory stays bounded at any lattice size.
+
+The working band sits at the start of each padded axis, not at its centre.
+The samples then come out rolled by half the torus and multiplied by the
+unimodular e^{i pi (j1 + j2) / pad}; |u|^p ignores both, even products
+cancel the modulation pairwise, and _padded_forward removes it from el_map's
+odd quintic by reading the band back from the same place.
 
 The padded transforms are pruned 1-D passes (Orszag, J. Atmos. Sci. 28,
 1971).  Going in, only the n nonzero columns of the (pad n)^2 lattice are
 transformed along axis -2, then every row along axis -1.  Coming out,
-el_map transforms every row, keeps the n columns of the working band, and
-transforms only those along axis -2.  Each pass transforms (pad + 1) n
-lines of length pad n where a full 2-D transform takes 2 pad n: 2/3 of the
-line work at pad 3, 3/4 at pad 2.
+_padded_forward transforms every row, keeps the n columns of the working
+band, and transforms only those along axis -2.  Each pass transforms
+(pad + 1) n lines of length pad n where a full 2-D transform takes 2 pad n:
+2/3 of the line work at pad 3, 3/4 at pad 2.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import TailTestError, ValidationError
-from .grid import Field, Grid2D, SpectralField, dft_forward, dft_inverse
+from .grid import Field, SpectralField, dft_forward, dft_inverse
 from .propagator import check_band_guard
 
 __all__ = [
@@ -92,49 +101,61 @@ class TimeWindow:
 
 
 def _padded_inverse(coeffs: np.ndarray, pad: int, extent: float) -> np.ndarray:
-    """Samples on the pad-fold refined lattice of sign-premultiplied centered
-    coefficients (batched).
+    """Samples on the pad-fold refined lattice of centered coefficients
+    (batched).
 
-    Expects `Grid2D.alt_sign * C`, embeds it centrally into (pad*n, pad*n)
-    and returns the physical samples times (-1)^(j1+j2).  The identity
-    ifft(ifftshift(D)) = (-1)^j ifft(D) (even sizes) trades the two
-    lattice-sized permutations for sign flips that every caller cancels
-    pointwise: |u|^p is sign-blind, even products cancel it, and el_map's
-    odd quintic carries it through its forward transform.
+    Embeds the n x n block at the start of each (pad*n)-point axis, so the
+    samples come out rolled by half the torus and multiplied by
+    e^{i pi (j1 + j2) / pad}.  Only the n nonzero columns are transformed
+    along axis -2 before every row is transformed along axis -1.
     """
     n = coeffs.shape[-1]
     nn = pad * n
-    lo = (nn - n) // 2
     cols = np.zeros(coeffs.shape[:-2] + (nn, n), dtype=complex)
-    np.multiply(coeffs, (nn / extent) ** 2, out=cols[..., lo:lo + n, :])
+    np.multiply(coeffs, (nn / extent) ** 2, out=cols[..., :n, :])
     big = np.zeros(coeffs.shape[:-2] + (nn, nn), dtype=complex)
-    big[..., lo:lo + n] = sfft.ifft(cols, axis=-2, overwrite_x=True)
+    big[..., :n] = sfft.ifft(cols, axis=-2, overwrite_x=True)
     return sfft.ifft(big, axis=-1, overwrite_x=True)
 
 
-def evolve_padded(grid: Grid2D, spectra: list, symbol: np.ndarray, times: np.ndarray,
-                  op, pad: int = PAD_FACTOR) -> list:
-    """The padded-evolution kernel: [op(chunk, phases, us) for each time chunk].
+def _padded_forward(u: np.ndarray, n: int) -> np.ndarray:
+    """Centered coefficients of the working band from samples laid out as
+    _padded_inverse returns them (batched, overwrites u), up to the cell
+    area: the rows are transformed and their first n entries kept, then only
+    those n columns are transformed and their first n entries kept."""
+    rows = sfft.fft(u, axis=-1, overwrite_x=True)[..., :n]
+    return sfft.fft(rows, axis=-2, overwrite_x=True)[..., :n, :]
 
+
+def evolve_padded(spectra: list, symbol: np.ndarray, times: np.ndarray,
+                  op, pad: int = PAD_FACTOR) -> list:
+    """The padded-evolution kernel: [cell * op(chunk, phases, us) for each
+    time chunk], cell the area of the refined lattice's cell.
+
+    `spectra` are SpectralFields on one grid; each must pass check_band_guard.
     `times` is cut into chunks of at most _TIME_CHUNK nodes and _CHUNK_BYTES
     of padded samples over all spectra (but at least one node).  For each,
     `chunk` is the slice of `times` it covers, `phases` is
     exp(i times[chunk] symbol) with shape (len, n, n), and `us[k]` holds the
-    samples of spectra[k] (centered coefficients on `grid`) evolved to those
-    nodes on the pad-fold refined lattice, carrying the (-1)^(j1+j2) flip of
-    `_padded_inverse`, which transforms only the nonzero columns before the
-    rows.  The padded arrays live only for the call to `op`, so op must
-    reduce them to a small result; it may overwrite `us` (el_map forms its
-    quintic and transforms in place), never the spectra.
+    samples of spectra[k] evolved to those nodes on the pad-fold refined
+    lattice, laid out as _padded_inverse returns them.  The padded arrays
+    live only for the call to `op`, so op must reduce them to a small lattice
+    sum; it may overwrite `us` (el_map forms its quintic and transforms in
+    place), never the spectra.
     """
-    signed = [grid.alt_sign * c for c in spectra]
-    step = max(1, min(_TIME_CHUNK, _CHUNK_BYTES // (len(spectra) * 16 * (pad * grid.n) ** 2)))
+    g = spectra[0].grid
+    if any(F.grid != g for F in spectra):
+        raise ValidationError("operands live on different grids")
+    for F in spectra:
+        check_band_guard(F)
+    cell = (g.extent / (pad * g.n)) ** 2
+    step = max(1, min(_TIME_CHUNK, _CHUNK_BYTES // (len(spectra) * 16 * (pad * g.n) ** 2)))
     results = []
     for lo in range(0, len(times), step):
         chunk = slice(lo, lo + step)
         phases = np.exp(1j * times[chunk, None, None] * symbol[None, :, :])
-        results.append(op(chunk, phases, [_padded_inverse(c * phases, pad, grid.extent)
-                                          for c in signed]))
+        results.append(cell * op(chunk, phases, [_padded_inverse(F.coeffs * phases, pad, g.extent)
+                                                 for F in spectra]))
     return results
 
 
@@ -160,23 +181,18 @@ def spacetime_slices(F: SpectralField, symbol: np.ndarray, w: TimeWindow) -> np.
 
     `symbol` is the real multiplier phase (the evolution is exp(i t symbol)).
     """
-    g = F.grid
-    quad = (g.extent / (PAD_FACTOR * g.n)) ** 2
-
     def powers(chunk, phases, us):
         u, = us
         a2 = u.real ** 2
         a2 += u.imag ** 2
-        return np.sum(a2 * a2 * a2, axis=(-2, -1)) * quad
+        return np.sum(a2 * a2 * a2, axis=(-2, -1))
 
-    return np.concatenate(evolve_padded(g, [F.coeffs], symbol, w.nodes, powers))
+    return np.concatenate(evolve_padded([F], symbol, w.nodes, powers))
 
 
 def spacetime_norm(f: Field, w: TimeWindow) -> float:
     """(sum_t w_t sum_x |e^{it Delta^2} f|^6)^(1/6) over the window."""
-    F = dft_forward(f)
-    check_band_guard(F)
-    slices = spacetime_slices(F, f.grid.xi_sq ** 2, w)
+    slices = spacetime_slices(dft_forward(f), f.grid.xi_sq ** 2, w)
     return window_norm(slices, w, 6, "space-time L^6 norm")
 
 
@@ -195,26 +211,17 @@ def q_form(f1: Field, f2: Field, f3: Field, f4: Field, f5: Field, f6: Field,
     Each distinct operand object is evolved once, whatever slots it fills.
     """
     fields = (f1, f2, f3, f4, f5, f6)
-    g = f1.grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise ValidationError("q_form operands live on different grids")
     operands = {id(f): f for f in fields}
     slots = [list(operands).index(id(f)) for f in fields]
-    spectra = []
-    for f in operands.values():
-        F = dft_forward(f)
-        check_band_guard(F)
-        spectra.append(F.coeffs)
-    quad = (g.extent / (PAD_FACTOR * g.n)) ** 2
+    spectra = [dft_forward(f) for f in operands.values()]
 
     def integrate(chunk, phases, us):
         u = [us[k] for k in slots]
-        # the six sign flips cancel pairwise in the even product
+        # the six modulations cancel pairwise in the even product
         prod = np.conj(u[0] * u[1] * u[2]) * (u[3] * u[4] * u[5])
-        return np.dot(w.weights[chunk], prod.sum(axis=(-2, -1))) * quad
+        return np.dot(w.weights[chunk], prod.sum(axis=(-2, -1)))
 
-    return complex(sum(evolve_padded(g, spectra, g.xi_sq ** 2, w.nodes, integrate)))
+    return complex(sum(evolve_padded(spectra, f1.grid.xi_sq ** 2, w.nodes, integrate)))
 
 
 def el_map(f: Field, w: TimeWindow) -> Field:
@@ -225,8 +232,6 @@ def el_map(f: Field, w: TimeWindow) -> Field:
     every g in it."""
     if f.l2_norm() == 0:
         raise ValidationError("Euler-Lagrange map of the zero field")
-    F = dft_forward(f)
-    check_band_guard(F)
     g = f.grid
     real = np.max(np.abs(f.values.imag)) <= 1e-14 * np.max(np.abs(f.values.real))
     if real:
@@ -239,24 +244,17 @@ def el_map(f: Field, w: TimeWindow) -> Field:
     else:
         times, weights = w.nodes, w.weights
 
-    nn = PAD_FACTOR * g.n
-    lo = (nn - g.n) // 2
-
     def project(chunk, phases, us):
         u, = us
-        # |u|^4 u, formed in place, keeps the single sign flip; the forward
-        # transform is pruned to the working band (rows first, then the n
-        # kept columns) before alt_sign undoes it, so the flip costs n^2
+        # |u|^4 u, formed in place, keeps the single modulation, which
+        # _padded_forward removes
         a2 = u.real ** 2
         a2 += u.imag ** 2
         a2 *= a2
         u *= a2
-        rows = sfft.fft(u, axis=-1, overwrite_x=True)[..., lo:lo + g.n]
-        spec = sfft.fft(rows, axis=-2, overwrite_x=True)[..., lo:lo + g.n, :]
-        spec = g.alt_sign * ((g.extent / nn) ** 2 * spec)
-        return np.einsum("t,tab->ab", weights[chunk], spec * np.conj(phases))
+        return np.einsum("t,tab->ab", weights[chunk], _padded_forward(u, g.n) * np.conj(phases))
 
-    acc = sum(evolve_padded(g, [F.coeffs], g.xi_sq ** 2, times, project))
+    acc = sum(evolve_padded([dft_forward(f)], g.xi_sq ** 2, times, project))
     result = dft_inverse(SpectralField(g, acc * (g.xi_abs < g.band)))
     if real:
         return Field(g, (2.0 * result.values.real).astype(complex))

@@ -99,12 +99,6 @@ class Grid2D:
     def xi_abs(self) -> np.ndarray:
         return np.sqrt(self.xi_sq)
 
-    @cached_property
-    def alt_sign(self) -> np.ndarray:
-        """(-1)^(k1+k2) phase relating numpy's FFT to the centered transform."""
-        k = np.arange(-self.n // 2, self.n // 2)
-        return ((-1.0) ** (k[:, None] + k[None, :])).astype(float)
-
 
 def _check_values(grid: Grid2D, values: np.ndarray, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=complex)
@@ -170,14 +164,14 @@ def make_grid(n: int, extent: float) -> Grid2D:
 def dft_forward(f: Field) -> SpectralField:
     """Discrete analogue of F(xi) = int exp(-i x.xi) u(x) dx."""
     g = f.grid
-    coeffs = g.spacing ** 2 * g.alt_sign * sfft.fftshift(sfft.fft2(f.values))
+    coeffs = g.spacing ** 2 * sfft.fftshift(sfft.fft2(sfft.ifftshift(f.values)))
     return SpectralField(g, coeffs)
 
 
 def dft_inverse(F: SpectralField) -> Field:
     """Inverse transform with the (2*pi)^-2 prefactor; round trip is identity."""
     g = F.grid
-    values = sfft.ifft2(sfft.ifftshift(g.alt_sign * F.coeffs)) * (g.n / g.extent) ** 2
+    values = sfft.fftshift(sfft.ifft2(sfft.ifftshift(F.coeffs))) * (g.n / g.extent) ** 2
     return Field(g, values)
 
 
@@ -223,6 +217,8 @@ def make_random_field(grid: Grid2D, seed: int, band_radius: float, envelope_widt
     band-limited to |xi| < band_radius and L2-normalized.  Deterministic in seed."""
     if band_radius <= 0 or band_radius > grid.nyquist:
         raise ValidationError(f"band radius {band_radius} outside (0, {grid.nyquist}]")
+    if envelope_width is not None and not 0 < envelope_width < np.inf:
+        raise ValidationError(f"envelope width must be positive and finite, got {envelope_width}")
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
     if envelope_width is not None:

@@ -97,7 +97,7 @@ class LinearMapA0:
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
-        if d.shape != (2,) or abs(np.hypot(*d) - 1.0) > 1e-12:
+        if d.shape != (2,) or not abs(np.hypot(*d) - 1.0) <= 1e-12:
             raise ValidationError(f"direction must be a unit vector in R^2, got {self.direction}")
         object.__setattr__(self, "direction", (float(d[0]), float(d[1])))
 

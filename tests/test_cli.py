@@ -172,6 +172,24 @@ class TestExitCodes:
         assert "positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["oscillatory-check", "--freq-width", "-1"],
+        ["oscillatory-check", "--freq-width", "0"],
+        ["oscillatory-check", "--freq-width", "nan"],
+        ["oscillatory-check", "--freq-width", "inf"],
+        ["bilinear-scan", "--envelope-width", "-2"],
+        ["bilinear-scan", "--envelope-width", "0"],
+        ["bilinear-scan", "--envelope-width", "nan"],
+        ["bilinear-scan", "--envelope-width", "inf"],
+    ])
+    def test_bad_width_rejected(self, tmp_path, capsys, argv):
+        # each width is squared: -1 and -2 had run as 1 and 2, 0 and nan had
+        # made non-finite values, inf a flat amplitude or envelope
+        out = tmp_path / "o.out"
+        assert parse_and_run(argv + ["--out", str(out)]) == 1
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fractional_seed_rejected(self, tmp_path, capsys):
         rc = parse_and_run(["bilinear-scan", "--seeds", "1.5",
                             "--out", str(tmp_path / "o.json")])

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from qs4.errors import TailTestError, ValidationError
+from qs4.errors import NyquistGuardError, TailTestError, ValidationError
 from qs4.functional import (
     _CHUNK_BYTES,
     _TIME_CHUNK,
     PAD_FACTOR,
     TimeWindow,
+    _padded_forward,
     _padded_inverse,
     el_map,
     evolve_padded,
     q_form,
     spacetime_norm,
+    spacetime_slices,
     strichartz_quotient,
 )
 from qs4.grid import (
@@ -241,9 +243,10 @@ class TestPadding:
         def record(chunk, phases, us):
             assert all(u.shape == (len(phases), pad * n, pad * n) for u in us)
             seen.append((len(phases), sum(u.nbytes for u in us)))
+            return 0.0
 
         times = np.linspace(-1.0, 1.0, 2 * _TIME_CHUNK + 1)
-        evolve_padded(g, [np.zeros((n, n), complex)] * operands, g.xi_sq ** 2, times,
+        evolve_padded([SpectralField(g, np.zeros((n, n)))] * operands, g.xi_sq ** 2, times,
                       record, pad=pad)
         assert sum(k for k, _ in seen) == len(times)
         assert max(b for _, b in seen) <= _CHUNK_BYTES
@@ -253,7 +256,9 @@ class TestPadding:
 
     @pytest.mark.parametrize("pad", [2, 3])
     @pytest.mark.parametrize("batch", [(), (3,)])
-    def test_padded_inverse_is_centered_embedding(self, pad, batch):
+    def test_padded_inverse_layout(self, pad, batch):
+        # the physical samples of the centred embedding, rolled by half the
+        # torus on each axis and modulated by e^{i pi (j1 + j2) / pad}
         n, extent = 16, 8.0
         rng = np.random.default_rng(pad)
         coeffs = rng.standard_normal(batch + (n, n)) + 1j * rng.standard_normal(batch + (n, n))
@@ -261,10 +266,42 @@ class TestPadding:
         lo = (nn - n) // 2
         big = np.zeros(batch + (nn, nn), complex)
         big[..., lo:lo + n, lo:lo + n] = coeffs
-        ref = np.fft.ifft2(big) * (nn / extent) ** 2
+        axes = (-2, -1)
+        samples = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(big, axes=axes)), axes=axes)
+        rolled = np.roll(samples, (nn // 2, nn // 2), axis=axes) * (nn / extent) ** 2
         got = _padded_inverse(coeffs, pad, extent)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert got.shape == rolled.shape
+        scale = np.max(np.abs(rolled))
+        assert np.max(np.abs(np.abs(got) - np.abs(rolled))) <= 1e-14 * scale
+        j = np.arange(nn)
+        modulation = np.exp(1j * np.pi * ((j[:, None] + j[None, :]) % (2 * pad)) / pad)
+        assert np.max(np.abs(got - modulation * rolled)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("pad", [2, 3])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_padded_round_trip(self, pad, batch):
+        # _padded_forward reads back what _padded_inverse wrote, up to the
+        # refined lattice's cell area
+        n, extent = 16, 8.0
+        rng = np.random.default_rng(pad)
+        coeffs = rng.standard_normal(batch + (n, n)) + 1j * rng.standard_normal(batch + (n, n))
+        cell = (extent / (pad * n)) ** 2
+        back = cell * _padded_forward(_padded_inverse(coeffs, pad, extent), n)
+        assert back.shape == coeffs.shape
+        assert np.max(np.abs(back - coeffs)) <= 1e-14 * np.max(np.abs(coeffs))
+
+    def test_unguarded_spectrum_rejected(self):
+        # the kernel guards its own entry: a flat spectrum fills the corners
+        # of the frequency square that padded products would wrap into
+        g = make_grid(16, 8.0)
+        with pytest.raises(NyquistGuardError):
+            spacetime_slices(SpectralField(g, np.ones((16, 16))), g.xi_sq ** 2, TimeWindow(1.0, 5))
+
+    def test_mixed_grids_rejected(self):
+        a, b = make_grid(16, 8.0), make_grid(16, 16.0)
+        spectra = [SpectralField(g, np.zeros((16, 16))) for g in (a, b)]
+        with pytest.raises(ValidationError, match="different grids"):
+            evolve_padded(spectra, a.xi_sq ** 2, np.zeros(1), lambda chunk, phases, us: 0.0)
 
     @pytest.mark.parametrize("real", [True, False])
     def test_el_map_matches_full_transform_and_crop(self, real):
@@ -281,7 +318,7 @@ class TestPadding:
         n, nn = g.n, PAD_FACTOR * g.n
         lo = (nn - n) // 2
         k = np.arange(-nn // 2, nn // 2)
-        sign = (-1.0) ** (k[:, None] + k[None, :])  # dft_forward's alt_sign on the fine lattice
+        sign = (-1.0) ** (k[:, None] + k[None, :])  # the centred transform's phase on the fine lattice
         F = dft_forward(f).coeffs
         acc = np.zeros_like(F)
         for t, wt in zip(w.nodes, w.weights):
@@ -298,15 +335,14 @@ class TestPadding:
     def test_spectra_left_unmodified(self):
         # op may overwrite the padded samples; the spectra it was given stay
         g = make_grid(16, 8.0)
-        rng = np.random.default_rng(0)
-        spectra = [rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-                   for _ in range(2)]
-        kept = [c.copy() for c in spectra]
+        spectra = [dft_forward(_bump(g, seed)) for seed in range(2)]
+        kept = [F.coeffs.copy() for F in spectra]
 
         def clobber(chunk, phases, us):
             for u in us:
                 u *= 0.0
+            return 0.0
 
-        evolve_padded(g, spectra, g.xi_sq ** 2, np.linspace(-1.0, 1.0, 2 * _TIME_CHUNK + 1),
+        evolve_padded(spectra, g.xi_sq ** 2, np.linspace(-1.0, 1.0, 2 * _TIME_CHUNK + 1),
                       clobber)
-        assert all(np.array_equal(c, k) for c, k in zip(spectra, kept))
+        assert all(np.array_equal(F.coeffs, k) for F, k in zip(spectra, kept))

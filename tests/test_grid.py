@@ -183,6 +183,15 @@ class TestFactories:
         c = make_random_field(g, 8, band_radius=0.5 * g.nyquist)
         assert not np.array_equal(a.values, c.values)
 
+    @pytest.mark.parametrize("width", [-2.0, 0.0, np.nan, np.inf])
+    def test_random_field_envelope_width_checked(self, width):
+        # -2 had enveloped like 2 (the width is squared), 0 and nan had made
+        # non-finite values, inf a flat envelope
+        g = make_grid(32, 8.0)
+        with pytest.raises(ValidationError, match="positive and finite"):
+            make_random_field(g, 7, band_radius=0.5 * g.nyquist, envelope_width=width)
+        make_random_field(g, 7, band_radius=0.5 * g.nyquist, envelope_width=None)
+
     def test_random_field_band_limited(self):
         g = make_grid(64, 16.0)
         f = make_random_field(g, 9, band_radius=3.0)

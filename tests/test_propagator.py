@@ -114,6 +114,12 @@ class TestLinearMapA0:
         with pytest.raises(ValidationError):
             LinearMapA0((1.0, 1.0))
 
+    @pytest.mark.parametrize("direction", [(np.nan, 0.0), (1.0, np.nan)])
+    def test_rejects_nan_direction(self, direction):
+        # abs(hypot - 1) > tol is False for NaN, which let NaN matrices through
+        with pytest.raises(ValidationError, match="unit vector"):
+            LinearMapA0(direction)
+
 
 class TestResample:
     def test_identity_matrix(self):
