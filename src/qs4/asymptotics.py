@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .functional import TimeWindow, spacetime_slices, window_norm
-from .grid import Field, Grid2D, SpectralField, dft_forward
+from .grid import Field, Grid2D, SpectralField, dft_forward, dft_inverse
 from .propagator import (
     LinearMapA0,
     check_band_guard,
@@ -140,11 +140,10 @@ def modulation_scan(phi: Field, magnitudes, direction, w: TimeWindow) -> Modulat
     # ||e^{iT Delta} A0_* phi||_6 = (2 sqrt 3)^{1/3} ||e^{-iT|A0 xi|^2} phi||_6
     # by the change of variables xi -> A0 xi, so the limit is phi's own norm
     # under the symbol -|A0 xi|^2.  In phi's coordinates that wave travels A0
-    # times as far as the mapped one, so phi is zero-padded to twice its
-    # extent to keep its periodic images apart.
-    Fp = dft_forward(Field(Grid2D(2 * g.n, 2 * g.extent), np.pad(phi.values, g.n // 2)))
-    Fpc = _crop_grid(Fp, _bump_radius(Fp))
-    del Fp  # free the doubled lattice and its cached arrays before the evolution
+    # times as far as the mapped one, so the cropped bump the scan evolves is
+    # zero-padded to twice its extent to keep its periodic images apart.
+    n_c = Fc.grid.n
+    Fpc = dft_forward(Field(Grid2D(2 * n_c, 2 * g.extent), np.pad(dft_inverse(Fc).values, n_c // 2)))
     a0_sq = np.sum(a0(_lattice_points(Fpc.grid)) ** 2, axis=-1)
     slices = spacetime_slices(Fpc, -a0_sq, w)
     limit_reference = window_norm(slices, w, 6, "second-order reference norm")
@@ -180,21 +179,20 @@ def phase_phi_n(T, X, xi, xi_n) -> np.ndarray:
 def oscillatory_integral(T: float, X, amplitude: SpectralField, xi_n) -> complex:
     """Direct lattice quadrature of int a(xi) e^{i phi_n(T, X, xi)} dxi over the
     support of the amplitude; at T = 0, X = 0 this is (2 pi)^2 times the
-    physical value at the origin."""
+    physical value at the origin.  The phase is evaluated only at the lattice
+    points where the amplitude is nonzero, summed in row-major order."""
     g = amplitude.grid
     X = np.asarray(X, dtype=float)
     if X.shape != (2,):
         raise ValidationError("X must be a 2-vector")
     if not (np.isfinite(T) and np.all(np.isfinite(X))):
         raise ValidationError(f"T and X must be finite, got T = {T}, X = {tuple(X)}")
-    pts = _lattice_points(g).reshape(-1, 2)
-    a = amplitude.coeffs.ravel()
-    live = a != 0
-    if not np.any(live):
+    i, j = np.nonzero(amplitude.coeffs)
+    if not len(i):
         raise ValidationError("amplitude has empty support")
-    phase = phase_phi_n(T, X, pts[live], np.asarray(xi_n, dtype=float))
+    phase = phase_phi_n(T, X, np.stack((g.xi[i], g.xi[j]), -1), np.asarray(xi_n, dtype=float))
     d_xi = (2 * np.pi / g.extent) ** 2
-    return complex(np.sum(a[live] * np.exp(1j * phase)) * d_xi)
+    return complex(np.sum(amplitude.coeffs[i, j] * np.exp(1j * phase)) * d_xi)
 
 
 def _dominating_f(T: np.ndarray, X_abs: np.ndarray, C: float, C_prime: float) -> np.ndarray:

@@ -364,15 +364,16 @@ def _run_decay_fit(args) -> None:
 
 
 def _run_profile_demo(args) -> None:
+    if args.index < 0:
+        raise ValidationError(f"--index must be nonnegative, got {args.index}")
     g = make_grid(args.grid_n, args.extent)
     w = TimeWindow(args.t_max, args.nt)
     phi = make_gaussian(g, width=0.8)
-    shift = min(2.0 ** args.index * g.spacing, 0.3 * g.extent)
-    seqs = [
-        [SymmetryParams(h=1.0, x0=(-shift / 2, 0.0)) for _ in range(args.index + 1)],
-        [SymmetryParams(h=1.0, x0=(shift / 2, 0.0)) for _ in range(args.index + 1)],
-    ]
-    u = synthesize_sequence([phi, phi], seqs, args.index, args.noise, args.seed)
+    # 2^index spacings pass 0.3 extent once 2^index > n, so capping the
+    # exponent at n's bit length leaves the shift unchanged and finite
+    shift = min(2.0 ** min(args.index, g.n.bit_length()) * g.spacing, 0.3 * g.extent)
+    seqs = [[SymmetryParams(x0=(-shift / 2, 0.0))], [SymmetryParams(x0=(shift / 2, 0.0))]]
+    u = synthesize_sequence([phi, phi], seqs, 0, args.noise, args.seed)
     result = extract_profiles(u, [phi], 2, w)
     l2_defect, st_defect = orthogonality_defect(u, result, w)
     results = {
@@ -386,6 +387,9 @@ def _run_profile_demo(args) -> None:
 
 
 def _run_oscillatory_check(args) -> None:
+    for option, values in (("--t-values", args.t_values), ("--x-values", args.x_values)):
+        if not values:
+            raise ValidationError(f"{option} needs at least one value")
     if not 0 < args.support_radius < np.inf:
         raise ValidationError(f"support radius must be positive and finite, got {args.support_radius}")
     if not 0 < args.freq_width < np.inf:

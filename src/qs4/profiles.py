@@ -32,7 +32,7 @@ from .grid import (
     inner_product,
     make_random_field,
 )
-from .propagator import check_band_guard, evolve_quartic, resample_linear
+from .propagator import check_band_guard, resample_linear
 
 __all__ = [
     "SymmetryParams",
@@ -81,16 +81,16 @@ class SymmetryParams:
         return SymmetryParams(h=1.0 / h, x0=tuple(-x0 / h), t0=-t0 / h ** 4)
 
 
-def _translate(f: Field, x0: np.ndarray) -> Field:
-    """Shift by x0 via the spectral phase (exact for band-limited samples)."""
-    g = f.grid
-    F = dft_forward(f)
-    phase = np.exp(-1j * (g.xi[:, None] * x0[0] + g.xi[None, :] * x0[1]))
-    return dft_inverse(SpectralField(g, F.coeffs * phase))
+def _group_multiplier(g, x0, t0: float) -> np.ndarray:
+    """exp(-i (xi . x0 + t0 |xi|^4)): the spectral multiplier of translation
+    by x0 followed by backward evolution by t0 (exact for band-limited
+    samples)."""
+    return np.exp(-1j * (g.xi[:, None] * x0[0] + g.xi[None, :] * x0[1] + t0 * g.xi_sq ** 2))
 
 
 def apply_symmetry(f: Field, p: SymmetryParams) -> Field:
-    """T_p f: dilate, modulate, translate, then evolve backwards by t0."""
+    """T_p f: dilate, modulate, then translate and evolve backwards by t0 in
+    one transform pair."""
     g = f.grid
     out = f
     if p.h != 1.0:
@@ -98,10 +98,11 @@ def apply_symmetry(f: Field, p: SymmetryParams) -> Field:
     if p.xi0 != (0.0, 0.0):
         phase = np.exp(1j * (p.xi0[0] * g.x[:, None] + p.xi0[1] * g.x[None, :]))
         out = Field(g, out.values * phase)
-    if p.x0 != (0.0, 0.0):
-        out = _translate(out, np.asarray(p.x0))
-    if p.t0 != 0.0:
-        out = evolve_quartic(out, -p.t0)
+    if p.x0 != (0.0, 0.0) or p.t0 != 0.0:
+        F = dft_forward(out)
+        if p.t0 != 0.0:
+            check_band_guard(F)
+        out = dft_inverse(SpectralField(g, F.coeffs * _group_multiplier(g, p.x0, p.t0)))
     return out
 
 
@@ -124,6 +125,8 @@ def synthesize_sequence(profiles: list, param_seqs: list, n_index: int,
     parameters coincide at this index would not be asymptotically orthogonal,
     so that is rejected.
     """
+    if not 0 <= noise_amp < np.inf:
+        raise ValidationError(f"noise amplitude must be nonnegative and finite, got {noise_amp}")
     if len(profiles) != len(param_seqs) or not profiles:
         raise ValidationError("need one parameter sequence per profile")
     params = []
@@ -198,6 +201,8 @@ def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindo
     Scales that would squeeze a shape below the lattice spacing are skipped.
     The filter works on spectra: each candidate shape is transformed once,
     the residual once per stage, and each score costs one inverse transform.
+    The atom a stage projects out is the scored spectrum times the group
+    multiplier of its shift and time shift, transformed back once.
     """
     if not dictionary:
         raise ValidationError("empty dictionary")
@@ -208,7 +213,10 @@ def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindo
         h_grid = [2.0 ** k for k in range(-2, 3)]
     if t0_grid is None:
         t0_grid = np.linspace(-w.t_max / 2, w.t_max / 2, 9)
-    xi4 = g.xi_sq ** 2
+    if any(shape.grid != g for shape in dictionary):
+        raise ValidationError("dictionary shapes and u live on different grids")
+    if not all(0 < h < np.inf for h in h_grid):
+        raise ValidationError(f"scales in h_grid must be positive and finite, got {list(h_grid)}")
 
     candidates = []  # (dictionary index, scale, spectrum of the dilated shape)
     for d_idx, shape in enumerate(dictionary):
@@ -236,7 +244,7 @@ def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindo
 
         def correlation(B, t0):
             """<Tr_{x0} e^{-i t0 Delta^2} base, residual> for every lattice shift x0."""
-            P = B * np.exp(-1j * t0 * xi4)
+            P = B * _group_multiplier(g, (0.0, 0.0), t0)
             return dft_inverse(SpectralField(g, np.conj(P) * R)).values
 
         best = None
@@ -261,7 +269,7 @@ def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindo
         corr = correlation(B, t0)
         i, j = np.unravel_index(np.argmax(np.abs(corr)), corr.shape)
         p = SymmetryParams(h=h, x0=(float(g.x[i]), float(g.x[j])), t0=t0)
-        atom = apply_symmetry(dictionary[d_idx], p)
+        atom = dft_inverse(SpectralField(g, B * _group_multiplier(g, p.x0, t0)))
         atom = Field(g, atom.values / atom.l2_norm())
         coeff = inner_product(atom, residual)
         if abs(coeff) < _COEFF_FLOOR * r_norm:

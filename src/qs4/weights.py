@@ -60,18 +60,19 @@ def weight_f(eta, p: WeightParams):
 def sample_constraint_tuples(count: int, radius: float, rng_seed: int) -> np.ndarray:
     """Draw eta_2..eta_6 uniformly in the ball, reject draws where the last
     three quartic powers fall short of the middle two, and solve for |eta_1|;
-    the b-constraint then holds by construction.  Returns the tuples as one
-    float (count, 6, 2) array, eta_1 first.  Deterministic in the seed."""
+    the b-constraint then holds by construction.  Every quartic power scales
+    by radius^4, so the share of draws kept (about 0.69) does not depend on
+    the radius.  Returns the tuples as one float (count, 6, 2) array, eta_1
+    first.  Deterministic in the seed."""
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     if not 0 < radius < np.inf:
         raise ValidationError(f"radius must be positive and finite, got {radius}")
     rng = np.random.default_rng(rng_seed)
     batches = []
-    kept = attempts = 0
+    kept = 0
     while kept < count:
         batch = 2 * (count - kept) + 16
-        attempts += batch
         r = radius * np.sqrt(rng.uniform(0, 1, (batch, 5)))
         th = rng.uniform(0, 2 * np.pi, (batch, 5))
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
@@ -79,8 +80,6 @@ def sample_constraint_tuples(count: int, radius: float, rng_seed: int) -> np.nda
         D = quart[:, 2:].sum(axis=1) - quart[:, :2].sum(axis=1)
         th1 = rng.uniform(0, 2 * np.pi, batch)
         keep = D >= 0
-        if attempts > 100 * count and kept + keep.sum() < 0.01 * attempts:
-            raise ValidationError("rejection rate above 99%; radius pathologically configured")
         mag = D[keep] ** 0.25
         eta1 = np.stack([mag * np.cos(th1[keep]), mag * np.sin(th1[keep])], axis=-1)
         batches.append(np.concatenate([eta1[:, None], pts[keep]], axis=1))

@@ -5,14 +5,18 @@ import pytest
 from scipy.integrate import quad
 
 from qs4.asymptotics import (
+    _bump_radius,
+    _crop_grid,
+    _lattice_points,
     dominating_function_check,
     modulation_scan,
     oscillatory_integral,
     phase_phi_n,
 )
 from qs4.errors import SupportGuardError, ValidationError
-from qs4.functional import TimeWindow
-from qs4.grid import SpectralField, make_gaussian, make_grid
+from qs4.functional import TimeWindow, spacetime_slices, window_norm
+from qs4.grid import Field, Grid2D, SpectralField, dft_forward, make_gaussian, make_grid
+from qs4.propagator import LinearMapA0
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +86,21 @@ class TestModulationScan:
         scan = modulation_scan(phi, [4.0, 8.0], (np.cos(theta), np.sin(theta)),
                                TimeWindow(t_max, 161))
         assert abs(scan.limit_reference - closed) / closed < 2e-3
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_limit_reference_matches_doubled_lattice(self, theta):
+        # the reference pads the cropped bump; padding phi itself to the
+        # doubled 2n lattice and cropping that spectrum gives the same norm
+        direction = (np.cos(theta), np.sin(theta))
+        phi = make_gaussian(make_grid(256, 16.0), width=0.8)
+        w = TimeWindow(3.0, 161)
+        scan = modulation_scan(phi, [4.0, 8.0], direction, w)
+        g = phi.grid
+        Fp = dft_forward(Field(Grid2D(2 * g.n, 2 * g.extent), np.pad(phi.values, g.n // 2)))
+        Fpc = _crop_grid(Fp, _bump_radius(Fp))
+        a0_sq = np.sum(LinearMapA0(direction)(_lattice_points(Fpc.grid)) ** 2, axis=-1)
+        doubled = window_norm(spacetime_slices(Fpc, -a0_sq, w), w, 6, "doubled reference")
+        assert abs(scan.limit_reference - doubled) / doubled <= 1e-14
 
     def test_rejects_off_centre_bump(self):
         g = make_grid(64, 16.0)

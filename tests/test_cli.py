@@ -190,6 +190,23 @@ class TestExitCodes:
         assert "positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["profile-demo", "--index", "-1"], "--index must be nonnegative"),
+        (["profile-demo", "--noise", "nan"], "nonnegative and finite"),
+        (["profile-demo", "--noise", "inf"], "nonnegative and finite"),
+        (["profile-demo", "--noise", "-0.5"], "nonnegative and finite"),
+        (["oscillatory-check", "--t-values", ""], "--t-values needs at least one value"),
+        (["oscillatory-check", "--t-values", ","], "--t-values needs at least one value"),
+        (["oscillatory-check", "--x-values", ""], "--x-values needs at least one value"),
+    ])
+    def test_bad_profile_or_sample_input_rejected(self, tmp_path, capsys, argv, message):
+        # the empty lists had reached the CSV writer after the 2048^2
+        # amplitude was built; -0.5 noise had run negated
+        out = tmp_path / "o.out"
+        assert parse_and_run(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fractional_seed_rejected(self, tmp_path, capsys):
         rc = parse_and_run(["bilinear-scan", "--seeds", "1.5",
                             "--out", str(tmp_path / "o.json")])
@@ -363,6 +380,16 @@ class TestProfileDemoCommand:
         out = tmp_path / "p.json"
         assert parse_and_run(["profile-demo", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["results"]["n_profiles"] == 2
+
+    def test_huge_index_saturates(self, tmp_path):
+        # 2.0 ** 1024 overflowed; the shift reaches 0.3 extent by index 6
+        params = {}
+        for index in ("10", "1024"):
+            out = tmp_path / f"p{index}.json"
+            assert parse_and_run(["profile-demo", "--nt", "33", "--index", index,
+                                  "--out", str(out)]) == 0
+            params[index] = json.loads(out.read_text())["results"]["params"]
+        assert params["1024"] == params["10"]
 
 
 class TestOscillatoryCommand:

@@ -119,6 +119,12 @@ class TestSynthesis:
         with pytest.raises(ValidationError):
             synthesize_sequence([bump], [[SymmetryParams()]], 5)
 
+    @pytest.mark.parametrize("amp", [-0.5, np.nan, np.inf])
+    def test_noise_amplitude_checked(self, bump, amp):
+        # nan and inf had failed only after synthesis, -0.5 ran negated
+        with pytest.raises(ValidationError, match="nonnegative and finite"):
+            synthesize_sequence([bump], [[SymmetryParams()]], 0, noise_amp=amp)
+
     def test_noise_deterministic(self, bump):
         a = synthesize_sequence([bump], [[SymmetryParams()]], 0,
                                 noise_amp=0.1, rng_seed=3)
@@ -145,6 +151,12 @@ class TestOrthogonalityDefect:
         l2_d, s_d = orthogonality_defect(u, result, w)
         assert l2_d < 1e-3
         assert s_d < 1e-2
+
+
+@pytest.fixture(scope="module")
+def two_bumps(bump):
+    seqs = [[SymmetryParams(x0=(-5.0, 0.0))], [SymmetryParams(x0=(5.0, 0.0))]]
+    return synthesize_sequence([bump, bump], seqs, 0)
 
 
 class TestExtractProfiles:
@@ -194,3 +206,15 @@ class TestExtractProfiles:
         edge = make_random_field(bump.grid, 0, band_radius=bump.grid.nyquist)
         with pytest.raises(ValidationError):
             extract_profiles(bump, [edge], 1, w, h_grid=[1.0])
+
+    @pytest.mark.parametrize("n, extent", [(128, 64.0), (64, 32.0)])
+    def test_shape_on_other_grid_rejected(self, two_bumps, n, extent):
+        # the first had returned no profiles, the second a broadcast error
+        shape = make_gaussian(make_grid(n, extent), width=0.8)
+        with pytest.raises(ValidationError, match="different grids"):
+            extract_profiles(two_bumps, [shape], 2, TimeWindow(2.0, 33))
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf])
+    def test_scale_outside_positive_reals_rejected(self, two_bumps, bump, h):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            extract_profiles(two_bumps, [bump], 2, TimeWindow(2.0, 33), h_grid=[h])
