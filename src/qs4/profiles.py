@@ -217,6 +217,7 @@ def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindo
         raise ValidationError("dictionary shapes and u live on different grids")
     if not all(0 < h < np.inf for h in h_grid):
         raise ValidationError(f"scales in h_grid must be positive and finite, got {list(h_grid)}")
+    xi4 = g.xi_sq ** 2
 
     candidates = []  # (dictionary index, scale, spectrum of the dilated shape)
     for d_idx, shape in enumerate(dictionary):
@@ -244,7 +245,7 @@ def extract_profiles(u: Field, dictionary: list, max_profiles: int, w: TimeWindo
 
         def correlation(B, t0):
             """<Tr_{x0} e^{-i t0 Delta^2} base, residual> for every lattice shift x0."""
-            P = B * _group_multiplier(g, (0.0, 0.0), t0)
+            P = B * np.exp(-1j * t0 * xi4)
             return dft_inverse(SpectralField(g, np.conj(P) * R)).values
 
         best = None

@@ -61,13 +61,14 @@ def sample_constraint_tuples(count: int, radius: float, rng_seed: int) -> np.nda
     """Draw eta_2..eta_6 uniformly in the ball, reject draws where the last
     three quartic powers fall short of the middle two, and solve for |eta_1|;
     the b-constraint then holds by construction.  Every quartic power scales
-    by radius^4, so the share of draws kept (about 0.69) does not depend on
-    the radius.  Returns the tuples as one float (count, 6, 2) array, eta_1
-    first.  Deterministic in the seed."""
+    by radius^4, so while 5 radius^4 is finite the share of draws kept
+    (about 0.69) does not depend on the radius.  Returns the tuples as one
+    float (count, 6, 2) array, eta_1 first.  Deterministic in the seed."""
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    if not 0 < radius < np.inf:
-        raise ValidationError(f"radius must be positive and finite, got {radius}")
+    # past this radius the quartic sums overflow, D turns NaN and no draw is kept
+    if not 0 < radius <= (np.finfo(float).max / 5) ** 0.25:
+        raise ValidationError(f"radius must be positive and finite, with 5 radius^4 finite too, got {radius}")
     rng = np.random.default_rng(rng_seed)
     batches = []
     kept = 0

@@ -148,6 +148,7 @@ class TestExitCodes:
         ["extremize", "--tol", "nan"],
         ["weight-check", "--count", "10", "--radius", "nan"],
         ["weight-check", "--count", "10", "--radius", "inf"],
+        ["weight-check", "--count", "10", "--radius", "1e80"],
         ["oscillatory-check", "--t-values", "nan"],
         ["oscillatory-check", "--t-values", "1,nan"],
         ["oscillatory-check", "--x-values", "nan"],

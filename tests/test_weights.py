@@ -81,6 +81,14 @@ class TestSampler:
         with pytest.raises(ValidationError, match="radius must be positive and finite"):
             sample_constraint_tuples(10, radius, 0)
 
+    def test_radius_with_overflowing_quartic_rejected(self):
+        # at 1e80 every |eta|^4 sum overflows, D = inf - inf is NaN and no
+        # draw is ever kept: the loop would not end
+        with pytest.raises(ValidationError, match="5 radius\\^4 finite"):
+            sample_constraint_tuples(10, 1e80, 0)
+        etas = sample_constraint_tuples(10, 7e76, 0)
+        assert etas.shape == (10, 6, 2) and np.all(np.isfinite(etas))
+
     @settings(max_examples=25, deadline=None)
     @given(count=st.integers(1, 300), radius=st.floats(0.1, 10.0),
            seed=st.integers(0, 2 ** 32 - 1), eps=st.floats(0.0, 10.0))
