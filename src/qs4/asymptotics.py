@@ -46,6 +46,8 @@ __all__ = [
 
 # Spectral mass fraction allowed outside the reported bump radius.
 _RADIUS_MASS = 1e-10
+# Midpoint-rule nodes per axis of each dyadic (T, X1, X2) box.
+_SHELL_POINTS = 48
 
 
 @dataclass(frozen=True)
@@ -166,33 +168,42 @@ def modulation_scan(phi: Field, magnitudes, direction, w: TimeWindow) -> Modulat
 def phase_phi_n(T, X, xi, xi_n) -> np.ndarray:
     """Rescaled phase X . xi - T psi_m(xi) / |xi_n|^2, which expands to
     X . xi - T (2 + 4 cos^2 theta_n)|xi|^2
-    - T (4 |xi|^2 (xi . dir_n)/|xi_n| + |xi|^4/|xi_n|^2)."""
+    - T (4 |xi|^2 (xi . dir_n)/|xi_n| + |xi|^4/|xi_n|^2).
+
+    xi is a (..., 2) array read in component form, X . xi = X_1 xi[..., 0]
+    + X_2 xi[..., 1]; psi_m is propagator.demodulated_phase."""
     xi = np.asarray(xi, dtype=float)
     xi_n = np.asarray(xi_n, dtype=float)
-    X = np.asarray(X, dtype=float)
     mag = float(np.hypot(*xi_n))
     if not 0 < mag < np.inf:
         raise ValidationError(f"xi_n must be nonzero and finite, got {tuple(xi_n)}")
-    return np.sum(X * xi, axis=-1) - T * demodulated_phase(xi, xi_n) / mag ** 2
+    return X[0] * xi[..., 0] + X[1] * xi[..., 1] - T * demodulated_phase(xi, xi_n) / mag ** 2
 
 
-def oscillatory_integral(T: float, X, amplitude: SpectralField, xi_n) -> complex:
-    """Direct lattice quadrature of int a(xi) e^{i phi_n(T, X, xi)} dxi over the
-    support of the amplitude; at T = 0, X = 0 this is (2 pi)^2 times the
-    physical value at the origin.  The phase is evaluated only at the lattice
-    points where the amplitude is nonzero, summed in row-major order."""
-    g = amplitude.grid
+def oscillatory_integral(T, X, amplitude: SpectralField, xi_n) -> np.ndarray:
+    """Direct lattice quadrature of int a(xi) e^{i phi_n(T_k, X_k, xi)} dxi
+    over the support of the amplitude, for a table of m samples: T is a 1-D
+    array of m >= 1 times and X the matching (m, 2) array of points.
+    Returns the m values; at T = 0, X = 0 the value is (2 pi)^2 times the
+    physical value at the origin.
+
+    Every sample is checked finite before the amplitude is read.  The
+    lattice points and coefficients of the amplitude's nonzero support are
+    then gathered once, and each sample's phase is evaluated only there and
+    summed in row-major order."""
+    T = np.asarray(T, dtype=float)
     X = np.asarray(X, dtype=float)
-    if X.shape != (2,):
-        raise ValidationError("X must be a 2-vector")
-    if not (np.isfinite(T) and np.all(np.isfinite(X))):
-        raise ValidationError(f"T and X must be finite, got T = {T}, X = {tuple(X)}")
-    i, j = np.nonzero(amplitude.coeffs)
-    if not len(i):
+    if T.ndim != 1 or not len(T) or X.shape != (len(T), 2):
+        raise ValidationError(f"need m >= 1 times and (m, 2) points, got shapes {T.shape} and {X.shape}")
+    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(X))):
+        raise ValidationError(f"T and X must be finite, got T = {T.tolist()}, X = {X.tolist()}")
+    g = amplitude.grid
+    a = amplitude.coeffs[amplitude.coeffs != 0]
+    if not len(a):
         raise ValidationError("amplitude has empty support")
-    phase = phase_phi_n(T, X, np.stack((g.xi[i], g.xi[j]), -1), np.asarray(xi_n, dtype=float))
+    xi = g.xi[np.argwhere(amplitude.coeffs)]
     d_xi = (2 * np.pi / g.extent) ** 2
-    return complex(np.sum(amplitude.coeffs[i, j] * np.exp(1j * phase)) * d_xi)
+    return d_xi * np.array([np.sum(a * np.exp(1j * phase_phi_n(t, x, xi, xi_n))) for t, x in zip(T, X)])
 
 
 def _dominating_f(T: np.ndarray, X_abs: np.ndarray, C: float, C_prime: float) -> np.ndarray:
@@ -223,8 +234,7 @@ class DominationReport:
 
 
 def dominating_function_check(samples, C: float, C_prime: float,
-                              k_min: int = 2, k_max: int = 8,
-                              points_per_axis: int = 48) -> DominationReport:
+                              k_min: int = 2, k_max: int = 8) -> DominationReport:
     """Evaluate the dominating envelope F on the given (T, X) samples and
     integrate F^6 over dyadic shells of (T, X) space by the midpoint rule.
 
@@ -249,8 +259,8 @@ def dominating_function_check(samples, C: float, C_prime: float,
     sizes = []
     for k in range(k_min, k_max + 1):
         R0, R1 = 2.0 ** k, 2.0 ** (k + 1)
-        h = 2 * R1 / points_per_axis
-        grid_1d = -R1 + h * (np.arange(points_per_axis) + 0.5)
+        h = 2 * R1 / _SHELL_POINTS
+        grid_1d = -R1 + h * (np.arange(_SHELL_POINTS) + 0.5)
         T, X1, X2 = np.meshgrid(grid_1d, grid_1d, grid_1d, indexing="ij")
         X_abs = np.hypot(X1, X2)
         in_outer = (np.abs(T) <= R1) & (X_abs <= R1)

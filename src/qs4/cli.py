@@ -401,11 +401,10 @@ def _run_oscillatory_check(args) -> None:
     coeffs = np.exp(-g.xi_sq / (2.0 * args.freq_width ** 2))
     coeffs[g.xi_sq > args.support_radius ** 2] = 0.0
     amp = SpectralField(g, coeffs.astype(complex))
-    rows = []
-    for T in args.t_values:
-        for x in args.x_values:
-            val = oscillatory_integral(T, (x, 0.0), amp, args.xi_n)
-            rows.append((T, x, abs(val)))
+    samples = [(T, x) for T in args.t_values for x in args.x_values]
+    T, X1 = np.array(samples).T
+    vals = oscillatory_integral(T, np.column_stack((X1, np.zeros_like(X1))), amp, args.xi_n)
+    rows = [(*sample, abs(val)) for sample, val in zip(samples, vals)]
     emit_results({"header": ["T", "X1", "abs_value"], "rows": rows}, "csv", args.out)
 
 

@@ -20,11 +20,12 @@ chunk's padded arrays are freed before the next chunk is evolved.  A chunk
 holds at most _TIME_CHUNK nodes and _CHUNK_BYTES of padded samples (but at
 least one node), so memory stays bounded at any lattice size.
 
-The working band sits at the start of each padded axis, not at its centre.
-The samples then come out rolled by half the torus and multiplied by the
-unimodular e^{i pi (j1 + j2) / pad}; |u|^p ignores both, even products
-cancel the modulation pairwise, and _padded_forward removes it from el_map's
-odd quintic by reading the band back from the same place.
+The working band sits at the start of each padded axis, not at its centre:
+that is the layout scipy.fft's n= argument produces, since it zero-pads each
+axis at its end.  The samples then come out rolled by half the torus and
+multiplied by the unimodular e^{i pi (j1 + j2) / pad}; |u|^p ignores both,
+even products cancel the modulation pairwise, and _padded_forward removes it
+from el_map's odd quintic by reading the band back from the same place.
 
 The padded transforms are pruned 1-D passes (Orszag, J. Atmos. Sci. 28,
 1971).  Going in, only the n nonzero columns of the (pad n)^2 lattice are
@@ -104,18 +105,15 @@ def _padded_inverse(coeffs: np.ndarray, pad: int, extent: float) -> np.ndarray:
     """Samples on the pad-fold refined lattice of centered coefficients
     (batched).
 
-    Embeds the n x n block at the start of each (pad*n)-point axis, so the
-    samples come out rolled by half the torus and multiplied by
-    e^{i pi (j1 + j2) / pad}.  Only the n nonzero columns are transformed
-    along axis -2 before every row is transformed along axis -1.
+    scipy's n= argument zero-pads each (pad*n)-point axis at its end, which
+    leaves the n x n block at the start, so the samples come out rolled by
+    half the torus and multiplied by e^{i pi (j1 + j2) / pad}.  Only the n
+    nonzero columns are transformed along axis -2 before every row is
+    transformed along axis -1.
     """
-    n = coeffs.shape[-1]
-    nn = pad * n
-    cols = np.zeros(coeffs.shape[:-2] + (nn, n), dtype=complex)
-    np.multiply(coeffs, (nn / extent) ** 2, out=cols[..., :n, :])
-    big = np.zeros(coeffs.shape[:-2] + (nn, nn), dtype=complex)
-    big[..., :n] = sfft.ifft(cols, axis=-2, overwrite_x=True)
-    return sfft.ifft(big, axis=-1, overwrite_x=True)
+    nn = pad * coeffs.shape[-1]
+    cols = sfft.ifft(coeffs * (nn / extent) ** 2, n=nn, axis=-2, overwrite_x=True)
+    return sfft.ifft(cols, n=nn, axis=-1, overwrite_x=True)
 
 
 def _padded_forward(u: np.ndarray, n: int) -> np.ndarray:

@@ -68,12 +68,15 @@ def demodulated_phase(xi, xi_n) -> np.ndarray:
     """|xi + xi_n|^4 - |xi_n|^4 - 4|xi_n|^2 (xi_n.xi) on (..., 2) arrays:
 
     |xi|^4 + 4|xi|^2 (xi.xi_n) + 2|xi|^2 |xi_n|^2 + 4(xi.xi_n)^2
+
+    in component form: |xi|^2 = xi_1^2 + xi_2^2 and
+    xi.xi_n = xi_1 xi_n,1 + xi_2 xi_n,2, read from xi[..., 0] and xi[..., 1].
     """
     xi = np.asarray(xi, dtype=float)
     xi_n = np.asarray(xi_n, dtype=float)
-    a2 = np.sum(xi ** 2, axis=-1)
-    b2 = np.sum(xi_n ** 2, axis=-1)
-    dot = np.sum(xi * xi_n, axis=-1)
+    a2 = xi[..., 0] ** 2 + xi[..., 1] ** 2
+    b2 = xi_n[..., 0] ** 2 + xi_n[..., 1] ** 2
+    dot = xi[..., 0] * xi_n[..., 0] + xi[..., 1] * xi_n[..., 1]
     return a2 ** 2 + 4 * a2 * dot + 2 * a2 * b2 + 4 * dot ** 2
 
 
@@ -82,8 +85,8 @@ def phase_expansion(xi, xi_n) -> float:
     4|xi_n|^2 (xi_n.xi) + |xi_n|^4."""
     xi = np.asarray(xi, dtype=float)
     xi_n = np.asarray(xi_n, dtype=float)
-    b2 = np.sum(xi_n ** 2, axis=-1)
-    dot = np.sum(xi * xi_n, axis=-1)
+    b2 = xi_n[..., 0] ** 2 + xi_n[..., 1] ** 2
+    dot = xi[..., 0] * xi_n[..., 0] + xi[..., 1] * xi_n[..., 1]
     out = demodulated_phase(xi, xi_n) + 4 * b2 * dot + b2 ** 2
     return float(out) if out.ndim == 0 else out
 

@@ -1,5 +1,7 @@
 """Modulation scans, the rescaled oscillatory integral, the envelope check."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -144,7 +146,7 @@ class TestPhaseFunction:
 class TestOscillatoryIntegral:
     def test_value_at_origin(self, amplitude):
         # int e^{-|xi|^2/2} dxi = 2 pi
-        val = oscillatory_integral(0.0, (0.0, 0.0), amplitude, (1e6, 0.0))
+        val, = oscillatory_integral([0.0], [(0.0, 0.0)], amplitude, (1e6, 0.0))
         assert abs(val - 2 * np.pi) / (2 * np.pi) < 1e-3
 
     def test_gaussian_oracle(self, amplitude):
@@ -152,21 +154,60 @@ class TestOscillatoryIntegral:
         # |I| = pi / ((a^2 + 36 T^2)(a^2 + 4 T^2))^{1/4} with a = 1/2... here
         # a = 1/(2 sigma^2) with sigma = 1, so a = 0.5
         a = 0.5
-        for T in (1.0, 4.0):
-            val = abs(oscillatory_integral(T, (0.0, 0.0), amplitude, (1e6, 0.0)))
+        t_vals = (1.0, 4.0)
+        vals = np.abs(oscillatory_integral(t_vals, np.zeros((2, 2)), amplitude, (1e6, 0.0)))
+        for T, val in zip(t_vals, vals):
             oracle = np.pi / ((a ** 2 + 36 * T ** 2) * (a ** 2 + 4 * T ** 2)) ** 0.25
             assert abs(val - oracle) / oracle < 1e-2
+
+    def test_table_matches_plain_quadrature(self):
+        g = make_grid(64, 24.0)
+        coeffs = np.exp(-g.xi_sq / 2.0) * (1 + 0.3 * g.xi[:, None])
+        coeffs[g.xi_sq > 9.0] = 0.0
+        amp = SpectralField(g, coeffs.astype(complex))
+        xi_n = np.array([3.0, -4.0])
+        T = np.array([0.0, 0.3, 0.7, 0.2])
+        X = np.array([[0.0, 0.0], [0.5, -1.5], [0.0, 2.0], [-1.0, 0.25]])
+        vals = oscillatory_integral(T, X, amp, xi_n)
+
+        # the rescaled phase from |xi + xi_n|^4 - |xi_n|^4 - 4|xi_n|^2 (xi_n . xi),
+        # summed over the whole lattice
+        k1, k2 = np.meshgrid(g.xi, g.xi, indexing="ij")
+        b2 = xi_n @ xi_n
+        psi = (((k1 + xi_n[0]) ** 2 + (k2 + xi_n[1]) ** 2) ** 2 - b2 ** 2
+               - 4 * b2 * (xi_n[0] * k1 + xi_n[1] * k2))
+        d_xi = (2 * np.pi / g.extent) ** 2
+        for t, (x1, x2), val in zip(T, X, vals):
+            ref = np.sum(amp.coeffs * np.exp(1j * (x1 * k1 + x2 * k2 - t * psi / b2))) * d_xi
+            assert abs(val - ref) <= 1e-12 * abs(ref)
+        # a table entry is the one-sample table, bit for bit
+        for t, x, val in zip(T, X, vals):
+            assert oscillatory_integral([t], [x], amp, xi_n)[0] == val
 
     @pytest.mark.parametrize("T, X", [(np.nan, (0.0, 0.0)), (np.inf, (0.0, 0.0)),
                                       (1.0, (np.nan, 0.0)), (1.0, (0.0, -np.inf))])
     def test_non_finite_rejected(self, amplitude, T, X):
         with pytest.raises(ValidationError, match="finite"):
+            oscillatory_integral([T], [X], amplitude, (1e6, 0.0))
+
+    def test_table_checked_before_amplitude_read(self):
+        # a stand-in without coefficients: reading the support would raise
+        # AttributeError, so the NaN in the last sample must be caught first
+        amp = SimpleNamespace(grid=make_grid(64, 16.0))
+        with pytest.raises(ValidationError, match="finite"):
+            oscillatory_integral([1.0, 4.0, 16.0], [(0.0, 0.0), (1.0, 0.0), (0.0, np.nan)],
+                                 amp, (1e6, 0.0))
+
+    @pytest.mark.parametrize("T, X", [(1.0, [(0.0, 0.0)]), ([1.0, 2.0], [(0.0, 0.0)]),
+                                      ([1.0], [(0.0, 0.0, 0.0)]), ([], np.zeros((0, 2)))])
+    def test_table_shape_checked(self, amplitude, T, X):
+        with pytest.raises(ValidationError, match="shapes"):
             oscillatory_integral(T, X, amplitude, (1e6, 0.0))
 
     def test_empty_amplitude_rejected(self):
         g = make_grid(64, 16.0)
         with pytest.raises(ValidationError):
-            oscillatory_integral(1.0, (0.0, 0.0),
+            oscillatory_integral([1.0], [(0.0, 0.0)],
                                  SpectralField(g, np.zeros((64, 64), dtype=complex)),
                                  (1.0, 0.0))
 
