@@ -174,10 +174,16 @@ def phase_phi_n(T, X, xi, xi_n) -> np.ndarray:
     + X_2 xi[..., 1]; psi_m is propagator.demodulated_phase."""
     xi = np.asarray(xi, dtype=float)
     xi_n = np.asarray(xi_n, dtype=float)
+    mag = _carrier_magnitude(xi_n)
+    return X[0] * xi[..., 0] + X[1] * xi[..., 1] - T * demodulated_phase(xi, xi_n) / mag ** 2
+
+
+def _carrier_magnitude(xi_n) -> float:
+    """|xi_n|, rejecting a zero or non-finite carrier."""
     mag = float(np.hypot(*xi_n))
     if not 0 < mag < np.inf:
-        raise ValidationError(f"xi_n must be nonzero and finite, got {tuple(xi_n)}")
-    return X[0] * xi[..., 0] + X[1] * xi[..., 1] - T * demodulated_phase(xi, xi_n) / mag ** 2
+        raise ValidationError(f"xi_n must be nonzero and finite, got {tuple(float(v) for v in xi_n)}")
+    return mag
 
 
 def oscillatory_integral(T, X, amplitude: SpectralField, xi_n) -> np.ndarray:
@@ -187,16 +193,18 @@ def oscillatory_integral(T, X, amplitude: SpectralField, xi_n) -> np.ndarray:
     Returns the m values; at T = 0, X = 0 the value is (2 pi)^2 times the
     physical value at the origin.
 
-    Every sample is checked finite before the amplitude is read.  The
-    lattice points and coefficients of the amplitude's nonzero support are
-    then gathered once, and each sample's phase is evaluated only there and
-    summed in row-major order."""
+    Every sample, and the carrier xi_n, is checked finite (xi_n also
+    nonzero) before the amplitude is read.  The lattice points and
+    coefficients of the amplitude's nonzero support are then gathered once,
+    and each sample's phase is evaluated only there and summed in row-major
+    order."""
     T = np.asarray(T, dtype=float)
     X = np.asarray(X, dtype=float)
     if T.ndim != 1 or not len(T) or X.shape != (len(T), 2):
         raise ValidationError(f"need m >= 1 times and (m, 2) points, got shapes {T.shape} and {X.shape}")
     if not (np.all(np.isfinite(T)) and np.all(np.isfinite(X))):
         raise ValidationError(f"T and X must be finite, got T = {T.tolist()}, X = {X.tolist()}")
+    _carrier_magnitude(xi_n)
     g = amplitude.grid
     a = amplitude.coeffs[amplitude.coeffs != 0]
     if not len(a):

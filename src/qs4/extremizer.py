@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .functional import TimeWindow, el_map, spacetime_norm
+from .functional import TimeWindow, classify, el_map, spacetime_norm
 from .grid import (
     Field,
     Grid2D,
@@ -99,15 +99,16 @@ def _normalize(f: Field) -> Field:
     return Field(f.grid, f.values / nrm)
 
 
-def _evaluate(f: Field, w: TimeWindow) -> tuple:
-    """(Lambda f, omega, quotient, residual) for unit-norm f in the guarded band.
+def _evaluate(f: Field, w: TimeWindow, symmetry: str) -> tuple:
+    """(Lambda f, omega, quotient, residual) for unit-norm f in the guarded
+    band, of el_map's class `symmetry`.
 
     el_map returns Lambda(f) already projected onto the guarded band, the
     subspace the ascent maximizes over, so the residual measures that
     stationarity condition and the mass the anti-aliasing guard discards is
     not charged against the fixed-point defect.
     """
-    lam = el_map(f, w)
+    lam = el_map(f, w, symmetry)
     omega = float(inner_product(f, lam).real)
     lam_norm = lam.l2_norm()
     residual = (lam - omega * f).l2_norm() / lam_norm
@@ -138,16 +139,22 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
     The seed (or `initial`) is projected once onto el_map's guarded band,
     removing a mass fraction on the order of the guard tolerance; every step
     is a combination of fields in that band and stays there, where the
-    ascent is a well-posed maximization.  The final field must pass the
-    window's tail gate (TailTestError).
+    ascent is a well-posed maximization.  The projected seed is then
+    classified once (functional.classify) and projected exactly onto its
+    class, general, real or even, and every el_map call is told that class.
+    The evolution, the quintic and real combinations preserve realness and
+    evenness, so the iterates stay in the class up to rounding; no call
+    tests its input again.  The final field must pass the window's tail gate
+    (TailTestError).
     """
     if initial is None:
         initial = cfg.make_seed()
     elif initial.grid != cfg.grid:
         raise ValidationError("initial field grid does not match the config grid")
-    f = _normalize(spectral_cutoff(initial, 0.0, cfg.grid.band))
+    symmetry, f = classify(spectral_cutoff(initial, 0.0, cfg.grid.band))
+    f = _normalize(f)
 
-    lam, omega, quotient, residual = _evaluate(f, cfg.window)
+    lam, omega, quotient, residual = _evaluate(f, cfg.window, symmetry)
     history = [quotient]
     converged = residual < cfg.tol_residual
     n_iters = 1
@@ -160,7 +167,7 @@ def run_iteration(cfg: IterationConfig, initial: Field | None = None) -> Extremi
         r = g - f.values
         step = _anderson_step(g, r, steps, residuals) if mixed else g
         candidate = _normalize(Field(f.grid, step))
-        lam_c, omega_c, q_c, res_c = _evaluate(candidate, cfg.window)
+        lam_c, omega_c, q_c, res_c = _evaluate(candidate, cfg.window, symmetry)
         n_iters += 1
         if q_c < quotient - _ASCENT_SLACK:
             if not mixed:
@@ -258,17 +265,19 @@ def diagnostics(report: ExtremizerReport, w: TimeWindow) -> DiagnosticsSummary:
     """Recompute the reported quotient and residual at doubled time resolution.
 
     The refined residual is formed from el_map's band-projected Lambda f,
-    the same stationarity condition that run_iteration converges to.  It
-    also bounds the weak form: |<g, Lambda f - omega f>| / omega is at most
-    residual_refined * ||Lambda f|| / omega for every unit g."""
-    f = _normalize(report.final_field)
+    the same stationarity condition that run_iteration converges to, with
+    the final field classified and projected once as run_iteration does.
+    It also bounds the weak form: |<g, Lambda f - omega f>| / omega is at
+    most residual_refined * ||Lambda f|| / omega for every unit g."""
+    symmetry, f = classify(report.final_field)
+    f = _normalize(f)
     fine = w.refined()
     q_fine = spacetime_norm(f, fine)
     q_rep = report.quotient_history[-1] if report.quotient_history else float("nan")
     disc = abs(q_fine - q_rep) / q_fine if np.isfinite(q_rep) else float("inf")
     flagged = not np.isfinite(q_rep) or disc > 0.01
 
-    residual_fine = _evaluate(f, fine)[3]
+    residual_fine = _evaluate(f, fine, symmetry)[3]
     return DiagnosticsSummary(
         quotient_reported=float(q_rep),
         quotient_refined=float(q_fine),

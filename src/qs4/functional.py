@@ -34,6 +34,23 @@ _padded_forward transforms every row, keeps the n columns of the working
 band, and transforms only those along axis -2.  Each pass transforms
 (pad + 1) n lines of length pad n where a full 2-D transform takes 2 pad n:
 2/3 of the line work at pad 3, 3/4 at pad 2.
+
+Spectra of fields that are real and even in each axis (f(x1, x2) =
+f(-x1, x2) = f(x1, -x2)) have a second transform pair, on a quarter of the
+lattice.  Such a spectrum is real and even in each axis, and so is its
+evolution's phase, so for M = pad n the evolved field is even on the
+refined lattice and its DFT along an axis is the DCT-I of the M/2 + 1
+samples at x = 0, L/M, ..., L/2 (Martucci, IEEE Trans. Signal Process. 42,
+1994).  The kernel reads the (n/2)^2 quarter k1, k2 = 0..n/2 - 1 of the
+centred spectrum, zero-pads it at the end of each axis to M/2 + 1 points
+and runs dct(type=1) along each axis, pruned as above; _quarter_forward
+reads the same quarter back.  The samples come out unrolled and
+unmodulated, at the points m1 L/M, m2 L/M of the (M/2 + 1)^2 quarter
+lattice, m = 0..M/2.  An op on that lattice stands for the whole lattice:
+its lattice sums weight the lines m = 0 and m = M/2 once and every other
+line twice, and the DCT-I of _quarter_forward applies exactly those
+weights.  The Nyquist line k = -n/2 is not read; for a spectrum in the
+guarded band it is zero.
 """
 
 from __future__ import annotations
@@ -56,6 +73,7 @@ __all__ = [
     "spacetime_norm",
     "strichartz_quotient",
     "q_form",
+    "classify",
     "el_map",
 ]
 
@@ -101,18 +119,18 @@ class TimeWindow:
         return TimeWindow(self.t_max, 2 * self.n_t - 1)
 
 
-def _padded_inverse(coeffs: np.ndarray, pad: int, extent: float) -> np.ndarray:
+def _padded_inverse(coeffs: np.ndarray, pad: int) -> np.ndarray:
     """Samples on the pad-fold refined lattice of centered coefficients
-    (batched).
+    (batched), up to the factor (pad n / extent)^2 the caller applies.
 
     scipy's n= argument zero-pads each (pad*n)-point axis at its end, which
     leaves the n x n block at the start, so the samples come out rolled by
     half the torus and multiplied by e^{i pi (j1 + j2) / pad}.  Only the n
     nonzero columns are transformed along axis -2 before every row is
-    transformed along axis -1.
+    transformed along axis -1.  The caller's array is not overwritten.
     """
     nn = pad * coeffs.shape[-1]
-    cols = sfft.ifft(coeffs * (nn / extent) ** 2, n=nn, axis=-2, overwrite_x=True)
+    cols = sfft.ifft(coeffs, n=nn, axis=-2)
     return sfft.ifft(cols, n=nn, axis=-1, overwrite_x=True)
 
 
@@ -125,8 +143,25 @@ def _padded_forward(u: np.ndarray, n: int) -> np.ndarray:
     return sfft.fft(rows, axis=-2, overwrite_x=True)[..., :n, :]
 
 
+def _quarter_inverse(coeffs: np.ndarray, pad: int) -> np.ndarray:
+    """_padded_inverse for the (n/2)^2 quarter k1, k2 >= 0 of a spectrum even
+    in each axis: samples on the (pad n/2 + 1)^2 quarter of the refined
+    lattice, unrolled and unmodulated, up to the same factor."""
+    m = pad * coeffs.shape[-1] + 1
+    cols = sfft.dct(coeffs, type=1, n=m, axis=-2, norm="forward")
+    return sfft.dct(cols, type=1, n=m, axis=-1, norm="forward", overwrite_x=True)
+
+
+def _quarter_forward(u: np.ndarray, h: int) -> np.ndarray:
+    """_padded_forward for samples laid out as _quarter_inverse returns them
+    (batched, overwrites u): the quarter k1, k2 = 0..h-1 of the spectrum of
+    their even extension, up to the cell area."""
+    rows = sfft.dct(u, type=1, axis=-1, overwrite_x=True)[..., :h]
+    return sfft.dct(rows, type=1, axis=-2, overwrite_x=True)[..., :h, :]
+
+
 def evolve_padded(spectra: list, symbol: np.ndarray, times: np.ndarray,
-                  op, pad: int = PAD_FACTOR) -> list:
+                  op, pad: int = PAD_FACTOR, even: bool = False) -> list:
     """The padded-evolution kernel: [cell * op(chunk, phases, us) for each
     time chunk], cell the area of the refined lattice's cell.
 
@@ -140,21 +175,43 @@ def evolve_padded(spectra: list, symbol: np.ndarray, times: np.ndarray,
     live only for the call to `op`, so op must reduce them to a small lattice
     sum; it may overwrite `us` (el_map forms its quintic and transforms in
     place), never the spectra.
+
+    With `even`, the spectra belong to fields real and even in each axis
+    and `symbol` is even in each axis: `phases` is its (len, n/2, n/2)
+    quarter and `us[k]` the samples on the quarter lattice, laid out as
+    _quarter_inverse returns them (see the module docstring for the weights
+    op's lattice sums take there).
     """
     g = spectra[0].grid
     if any(F.grid != g for F in spectra):
         raise ValidationError("operands live on different grids")
     for F in spectra:
         check_band_guard(F)
-    cell = (g.extent / (pad * g.n)) ** 2
-    step = max(1, min(_TIME_CHUNK, _CHUNK_BYTES // (len(spectra) * 16 * (pad * g.n) ** 2)))
+    nn = pad * g.n
+    scale, cell = (nn / g.extent) ** 2, (g.extent / nn) ** 2
+    if even:
+        h = g.n // 2
+        coeffs = [F.coeffs[h:, h:] for F in spectra]
+        symbol, inverse, side = symbol[h:, h:], _quarter_inverse, nn // 2 + 1
+    else:
+        coeffs = [F.coeffs for F in spectra]
+        inverse, side = _padded_inverse, nn
+    step = max(1, min(_TIME_CHUNK, _CHUNK_BYTES // (len(spectra) * 16 * side ** 2)))
     results = []
     for lo in range(0, len(times), step):
         chunk = slice(lo, lo + step)
         phases = np.exp(1j * times[chunk, None, None] * symbol[None, :, :])
-        results.append(cell * op(chunk, phases, [_padded_inverse(F.coeffs * phases, pad, g.extent)
-                                                 for F in spectra]))
+        results.append(cell * op(chunk, phases, [inverse(_scaled(c * phases, scale), pad)
+                                                 for c in coeffs]))
     return results
+
+
+def _scaled(product: np.ndarray, scale: float) -> np.ndarray:
+    """`product` scaled in place.  The kernel passes each fresh product
+    through here, so no second temporary is made and no reference to it
+    outlives the transform that reads it."""
+    product *= scale
+    return product
 
 
 def window_norm(slices: np.ndarray, w: TimeWindow, p: float, what: str,
@@ -222,38 +279,78 @@ def q_form(f1: Field, f2: Field, f3: Field, f4: Field, f5: Field, f6: Field,
     return complex(sum(evolve_padded(spectra, f1.grid.xi_sq ** 2, w.nodes, integrate)))
 
 
-def el_map(f: Field, w: TimeWindow) -> Field:
+def classify(f: Field) -> tuple:
+    """(symmetry, f projected exactly onto it), the class el_map is told.
+
+    "general" unless the imaginary part is at most 1e-14 of the real part;
+    then "even" if the real part's mirror defect along each axis
+    (j -> n - j mod n, i.e. x -> -x) is at most 1e-14 of its peak, else
+    "real".  The projection drops the imaginary part and, for "even",
+    averages the four reflections, pairwise so that the result is exactly
+    even.  These are the only tolerance tests of the classes: a caller
+    classifies its starting field once and passes the class to every
+    el_map call, since rounding can carry an iterate past the tolerances.
+    """
+    v = f.values
+    if np.max(np.abs(v.imag)) > 1e-14 * np.max(np.abs(v.real)):
+        return "general", f
+    r = v.real
+    r0 = np.roll(r[::-1, :], 1, axis=0)
+    r1 = np.roll(r[:, ::-1], 1, axis=1)
+    if max(np.max(np.abs(r - r0)), np.max(np.abs(r - r1))) > 1e-14 * np.max(np.abs(r)):
+        return "real", Field(f.grid, r)
+    s = r + r0
+    s += np.roll(s[:, ::-1], 1, axis=1)
+    return "even", Field(f.grid, s / 4)
+
+
+def el_map(f: Field, w: TimeWindow, symmetry: str) -> Field:
     """Euler-Lagrange map Lambda(f) = P sum_t w_t e^{-it Delta^2}[|u|^4 u],
     u = e^{it Delta^2} f, P the projection onto the band check_band_guard
     admits (|xi| < grid.band, clear of the Nyquist row and column): the
     unique field in that band with <g, Lambda(f)> = Q(g, f, ..., f) for
-    every g in it."""
+    every g in it.
+
+    `symmetry` is the class of f, decided once by the caller (see classify)
+    and taken as given: "general" sums the whole window; "real" sums the
+    t >= 0 half (the t and -t contributions are complex conjugates) and
+    takes 2 Re; "even" does the same on the quarter lattice and mirrors the
+    quarter spectrum exactly into the full one before the band projection.
+    """
+    if symmetry not in ("general", "real", "even"):
+        raise ValidationError(f"symmetry must be general, real or even, got {symmetry!r}")
     if f.l2_norm() == 0:
         raise ValidationError("Euler-Lagrange map of the zero field")
     g = f.grid
-    real = np.max(np.abs(f.values.imag)) <= 1e-14 * np.max(np.abs(f.values.real))
-    if real:
-        # Real input: the t and -t contributions are complex conjugates, so
-        # only the nonnegative half of the window needs evolving (t = 0 at
-        # half weight, doubled along with everything else by taking 2 Re).
-        mid = w.n_t // 2
-        times, weights = w.nodes[mid:], w.weights[mid:].copy()
-        weights[0] /= 2
-    else:
+    h = g.n // 2
+    even = symmetry == "even"
+    if symmetry == "general":
         times, weights = w.nodes, w.weights
+    else:
+        # t = 0 at half weight, doubled along with everything else by 2 Re
+        times, weights = w.nodes[w.n_t // 2:], w.weights[w.n_t // 2:].copy()
+        weights[0] /= 2
 
     def project(chunk, phases, us):
         u, = us
         # |u|^4 u, formed in place, keeps the single modulation, which
-        # _padded_forward removes
+        # _padded_forward removes (the quarter lattice carries none)
         a2 = u.real ** 2
         a2 += u.imag ** 2
         a2 *= a2
         u *= a2
-        return np.einsum("t,tab->ab", weights[chunk], _padded_forward(u, g.n) * np.conj(phases))
+        back = _quarter_forward(u, h) if even else _padded_forward(u, g.n)
+        return np.einsum("t,tab->ab", weights[chunk], back * np.conj(phases))
 
-    acc = sum(evolve_padded([dft_forward(f)], g.xi_sq ** 2, times, project))
+    acc = sum(evolve_padded([dft_forward(f)], g.xi_sq ** 2, times, project, even=even))
+    if even:
+        # centred rows and columns 1..n-1 hold k = 1-h..h-1; the Nyquist
+        # line k = -h lies outside the band
+        k = np.abs(np.arange(1 - h, h))
+        full = np.zeros((g.n, g.n), complex)
+        full[1:, 1:] = acc[np.ix_(k, k)]
+        acc = full
     result = dft_inverse(SpectralField(g, acc * (g.xi_abs < g.band)))
-    if real:
-        return Field(g, (2.0 * result.values.real).astype(complex))
-    return result
+    if symmetry == "general":
+        return result
+    return Field(g, (2.0 * result.values.real).astype(complex))

@@ -32,9 +32,9 @@ def shrinking_el_map(monkeypatch):
     """
     calls = []
 
-    def shrinking(f, w):
+    def shrinking(f, w, symmetry):
         calls.append(None)
-        return 0.5 ** (len(calls) - 1) * el_map(f, w)
+        return 0.5 ** (len(calls) - 1) * el_map(f, w, symmetry)
 
     monkeypatch.setattr("qs4.extremizer.el_map", shrinking)
     return calls

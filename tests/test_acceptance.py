@@ -97,7 +97,7 @@ class TestCriterion03EulerLagrange:
         w = TimeWindow(2.0, 257)
         for seed in range(20):
             f = make_random_field(g, seed, band_radius=1.5, envelope_width=4.0)
-            lam = el_map(f, w)
+            lam = el_map(f, w, "general")
             omega = float(inner_product(f, lam).real)
             sixth = spacetime_norm(f, w) ** 6
             assert abs(omega - sixth) / sixth <= 1e-8

@@ -198,6 +198,12 @@ class TestOscillatoryIntegral:
             oscillatory_integral([1.0, 4.0, 16.0], [(0.0, 0.0), (1.0, 0.0), (0.0, np.nan)],
                                  amp, (1e6, 0.0))
 
+    @pytest.mark.parametrize("xi_n", [(np.nan, 0.0), (0.0, 0.0), (np.inf, 1.0)])
+    def test_carrier_checked_before_amplitude_read(self, xi_n):
+        amp = SimpleNamespace(grid=make_grid(64, 16.0))
+        with pytest.raises(ValidationError, match="xi_n must be nonzero and finite"):
+            oscillatory_integral([1.0], [(0.0, 0.0)], amp, xi_n)
+
     @pytest.mark.parametrize("T, X", [(1.0, [(0.0, 0.0)]), ([1.0, 2.0], [(0.0, 0.0)]),
                                       ([1.0], [(0.0, 0.0, 0.0)]), ([], np.zeros((0, 2)))])
     def test_table_shape_checked(self, amplitude, T, X):

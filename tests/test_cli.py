@@ -208,6 +208,17 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("xi_n, shown", [("nan,0", "(nan, 0.0)"), ("0,0", "(0.0, 0.0)")])
+    def test_bad_carrier_rejected_in_plain_floats(self, tmp_path, capsys, xi_n, shown):
+        # the carrier is checked with T and X, before the amplitude's
+        # support is gathered, and echoed as plain floats
+        out = tmp_path / "o.csv"
+        assert parse_and_run(["oscillatory-check", "--xi-n", xi_n, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"xi_n must be nonzero and finite, got {shown}" in err
+        assert "np.float64" not in err
+        assert not out.exists()
+
     def test_fractional_seed_rejected(self, tmp_path, capsys):
         rc = parse_and_run(["bilinear-scan", "--seeds", "1.5",
                             "--out", str(tmp_path / "o.json")])

@@ -12,7 +12,7 @@ from qs4.extremizer import (
     recenter,
     run_iteration,
 )
-from qs4.functional import TimeWindow, strichartz_quotient
+from qs4.functional import TimeWindow, el_map, strichartz_quotient
 from qs4.grid import Field, Grid2D, make_gaussian, make_grid
 from qs4.profiles import SymmetryParams, apply_symmetry
 
@@ -31,6 +31,19 @@ def window():
 def converged(extremal_run):
     # the shared session ascent runs this module's grid, window and seed width
     return extremal_run[0]
+
+
+@pytest.fixture
+def el_map_classes(monkeypatch):
+    """Record the class of every el_map call the extremizer makes."""
+    classes = []
+
+    def spy(f, w, symmetry):
+        classes.append(symmetry)
+        return el_map(f, w, symmetry)
+
+    monkeypatch.setattr("qs4.extremizer.el_map", spy)
+    return classes
 
 
 class TestIterationConfig:
@@ -148,6 +161,24 @@ class TestRunIteration:
         other = make_gaussian(make_grid(64, 16.0), width=0.8)
         with pytest.raises(ValidationError):
             run_iteration(cfg, initial=other)
+
+
+class TestSymmetryClass:
+    @pytest.mark.parametrize("seed, symmetry", [
+        (None, "even"),
+        ({"modulation": (0.5, 0.0)}, "general"),
+        ({"center": (1.5, -1.0)}, "real"),
+    ], ids=["centred", "modulated", "off-centre"])
+    def test_every_call_takes_the_seed_class(self, el_map_classes, seed, symmetry):
+        # the seed is classified once; the ascent's calls and the diagnostics'
+        # call all take its class
+        g = make_grid(64, 64.0)
+        cfg = IterationConfig(grid=g, window=TimeWindow(2.0, 65), max_iters=4, seed_width=1.05)
+        initial = None if seed is None else make_gaussian(g, width=1.05, **seed)
+        report = run_iteration(cfg, initial=initial)
+        assert el_map_classes == [symmetry] * report.n_iters
+        diagnostics(report, cfg.window)
+        assert el_map_classes == [symmetry] * (report.n_iters + 1)
 
 
 class TestRecenter:

@@ -11,6 +11,8 @@ from qs4.functional import (
     TimeWindow,
     _padded_forward,
     _padded_inverse,
+    _quarter_inverse,
+    classify,
     el_map,
     evolve_padded,
     q_form,
@@ -39,6 +41,14 @@ def _window():
 def _bump(g, seed):
     return make_random_field(g, seed, band_radius=0.4 * g.nyquist,
                              envelope_width=g.extent / 10)
+
+
+def _even_bump(g, seed):
+    # the real part of _bump summed over the reflections x_i -> -x_i of each
+    # axis, lattice index j -> n - j mod n
+    r = _bump(g, seed).values.real
+    r = r + np.roll(r[::-1, :], 1, axis=0)
+    return Field(g, r + np.roll(r[:, ::-1], 1, axis=1))
 
 
 class TestTimeWindow:
@@ -165,18 +175,26 @@ class TestQForm:
         assert np.isclose(q_form(*fields, w), direct, rtol=1e-12, atol=0)
 
 
+def _check_pairing(symmetry):
+    g = make_grid(128, 32.0)
+    w = _window()
+    f = make_gaussian(g, width=0.8)
+    lam = el_map(f, w, symmetry)
+    for seed in range(3):
+        probe = _bump(g, 10 + seed)
+        lhs = inner_product(probe, lam)
+        rhs = q_form(probe, f, f, f, f, f, w)
+        assert abs(lhs - rhs) / abs(rhs) < 1e-10
+
+
 class TestElMap:
     def test_pairing_identity(self):
         # <g, Lambda(f)> = Q(g, f, f, f, f, f) for random g
-        g = make_grid(128, 32.0)
-        w = _window()
-        f = make_gaussian(g, width=0.8)
-        lam = el_map(f, w)
-        for seed in range(3):
-            probe = _bump(g, 10 + seed)
-            lhs = inner_product(probe, lam)
-            rhs = q_form(probe, f, f, f, f, f, w)
-            assert abs(lhs - rhs) / abs(rhs) < 1e-10
+        _check_pairing("real")
+
+    def test_pairing_identity_on_even_path(self):
+        # the probes are neither real nor even
+        _check_pairing("even")
 
     def test_omega_equals_sixth_power(self):
         # random speckle fields equilibrate on the torus instead of decaying,
@@ -186,7 +204,7 @@ class TestElMap:
         w = TimeWindow(2.0, 257)
         for seed in range(3):
             f = make_random_field(g, seed, band_radius=1.5, envelope_width=4.0)
-            lam = el_map(f, w)
+            lam = el_map(f, w, "general")
             omega = inner_product(f, lam).real
             n6 = spacetime_norm(f, w) ** 6
             assert abs(omega - n6) / n6 < 1e-8
@@ -195,10 +213,10 @@ class TestElMap:
         g = make_grid(128, 32.0)
         w = _window()
         f = make_gaussian(g, width=0.8)
-        real_path = el_map(f, w)
-        # nudge into the complex branch with a negligible imaginary part
+        real_path = el_map(f, w, "real")
+        # a negligible imaginary part, through the general class
         f_c = Field(g, f.values + 1e-10j * f.values)
-        complex_path = el_map(f_c, w)
+        complex_path = el_map(f_c, w, "general")
         assert np.max(np.abs(real_path.values - complex_path.values)) < 1e-8
 
     def test_real_path_matches_complex_path_on_nyquist_mass(self):
@@ -207,9 +225,18 @@ class TestElMap:
         g = make_grid(32, 16.0)
         f = Field(g, _bump(g, 5).values.real)
         w = TimeWindow(1.0, 9)
-        real_path = el_map(f, w).values
-        complex_path = el_map(Field(g, f.values + 1e-13j * f.values), w).values
+        real_path = el_map(f, w, "real").values
+        complex_path = el_map(Field(g, f.values + 1e-13j * f.values), w, "general").values
         assert np.max(np.abs(real_path - complex_path)) <= 1e-11 * np.max(np.abs(real_path))
+
+    @pytest.mark.parametrize("n, extent", [(32, 16.0), (64, 32.0)])
+    def test_even_path_matches_general_path(self, n, extent):
+        g = make_grid(n, extent)
+        f = _even_bump(g, 3)
+        w = TimeWindow(1.0, 17)
+        even = el_map(f, w, "even").values
+        general = el_map(f, w, "general").values
+        assert np.max(np.abs(even - general)) <= 1e-13 * np.max(np.abs(general))
 
     @pytest.mark.parametrize("real", [True, False])
     def test_output_in_guarded_band(self, real):
@@ -217,7 +244,7 @@ class TestElMap:
         f = _bump(g, 5)
         if real:
             f = Field(g, f.values.real)
-        coeffs = dft_forward(el_map(f, TimeWindow(1.0, 9))).coeffs
+        coeffs = dft_forward(el_map(f, TimeWindow(1.0, 9), "real" if real else "general")).coeffs
         outside = g.xi_abs >= BAND_GUARD_FRACTION * g.nyquist
         # zero before el_map's inverse transform; the round trip back leaves
         # rounding only
@@ -226,7 +253,69 @@ class TestElMap:
     def test_zero_field_rejected(self):
         g = make_grid(32, 8.0)
         with pytest.raises(ValidationError):
-            el_map(Field(g, np.zeros((32, 32))), _window())
+            el_map(Field(g, np.zeros((32, 32))), _window(), "real")
+
+    def test_unknown_symmetry_rejected(self):
+        g = make_grid(32, 8.0)
+        with pytest.raises(ValidationError, match="symmetry"):
+            el_map(_bump(g, 1), _window(), "odd")
+
+
+class TestClassify:
+    def test_centred_gaussian_is_even_exactly(self):
+        g = make_grid(64, 32.0)
+        symmetry, f = classify(make_gaussian(g, width=1.3))
+        assert symmetry == "even"
+        assert np.all(f.values.imag == 0)
+        # the projection is exact, not within a tolerance
+        assert np.array_equal(f.values, np.roll(f.values[::-1, :], 1, axis=0))
+        assert np.array_equal(f.values, np.roll(f.values[:, ::-1], 1, axis=1))
+
+    @pytest.mark.parametrize("center", [(1.5, 0.0), (0.0, 1.5)])
+    def test_even_in_one_axis_only_is_real(self, center):
+        g = make_grid(64, 32.0)
+        f = make_gaussian(g, center=center, width=1.3)
+        symmetry, projected = classify(f)
+        assert symmetry == "real"
+        assert np.array_equal(projected.values, f.values.real)
+
+    def test_complex_field_is_general_and_untouched(self):
+        g = make_grid(64, 32.0)
+        f = make_gaussian(g, width=1.3, modulation=(1.0, 0.0))
+        symmetry, projected = classify(f)
+        assert symmetry == "general"
+        assert projected is f
+
+    def test_rounding_level_defects_are_projected_away(self):
+        g = make_grid(32, 16.0)
+        f = _even_bump(g, 2)
+        peak = np.max(np.abs(f.values))
+        noise = np.random.default_rng(0).standard_normal((32, 32))
+        symmetry, projected = classify(Field(g, f.values * (1 + 1e-16 * noise) + 1e-16j * peak))
+        assert symmetry == "even"
+        assert np.max(np.abs(projected.values - f.values)) <= 1e-15 * peak
+
+
+def _full_transform_and_crop(f, w):
+    """sum_t w_t e^{-it Delta^2}[|u|^4 u] over the whole window, with u
+    sampled by a full transform of the centered embedding and the quintic's
+    full spectrum cropped to the working band, then projected onto the
+    guarded band."""
+    g = f.grid
+    n, nn = g.n, PAD_FACTOR * g.n
+    lo = (nn - n) // 2
+    k = np.arange(-nn // 2, nn // 2)
+    sign = (-1.0) ** (k[:, None] + k[None, :])  # the centred transform's phase on the fine lattice
+    F = dft_forward(f).coeffs
+    acc = np.zeros_like(F)
+    for t, wt in zip(w.nodes, w.weights):
+        phase = np.exp(1j * t * g.xi_sq ** 2)
+        embedded = np.zeros((nn, nn), complex)
+        embedded[lo:lo + n, lo:lo + n] = F * phase
+        u = np.fft.ifft2(np.fft.ifftshift(sign * embedded)) * (nn / g.extent) ** 2
+        quintic = (g.extent / nn) ** 2 * sign * np.fft.fftshift(np.fft.fft2(np.abs(u) ** 4 * u))
+        acc += wt * np.conj(phase) * quintic[lo:lo + n, lo:lo + n]
+    return dft_inverse(SpectralField(g, acc * (g.xi_abs < BAND_GUARD_FRACTION * g.nyquist))).values
 
 
 class TestPadding:
@@ -269,13 +358,60 @@ class TestPadding:
         axes = (-2, -1)
         samples = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(big, axes=axes)), axes=axes)
         rolled = np.roll(samples, (nn // 2, nn // 2), axis=axes) * (nn / extent) ** 2
-        got = _padded_inverse(coeffs, pad, extent)
+        kept = coeffs.copy()
+        # the caller applies the scale; _padded_inverse leaves its input alone
+        got = _padded_inverse(coeffs * (nn / extent) ** 2, pad)
+        assert np.array_equal(coeffs, kept)
         assert got.shape == rolled.shape
         scale = np.max(np.abs(rolled))
         assert np.max(np.abs(np.abs(got) - np.abs(rolled))) <= 1e-14 * scale
         j = np.arange(nn)
         modulation = np.exp(1j * np.pi * ((j[:, None] + j[None, :]) % (2 * pad)) / pad)
         assert np.max(np.abs(got - modulation * rolled)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("pad", [2, 3])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_quarter_inverse_layout(self, pad, batch):
+        # for a spectrum even in each axis, the physical samples of the
+        # centred embedding at x = m L/M, m = 0..M/2 per axis (M = pad n),
+        # from the (n/2)^2 quarter k >= 0
+        n, extent = 16, 8.0
+        rng = np.random.default_rng(pad)
+        h, nn = n // 2, pad * n
+        quarter = rng.standard_normal(batch + (h, h)) + 1j * rng.standard_normal(batch + (h, h))
+        k = np.abs(np.arange(1 - h, h))
+        coeffs = np.zeros(batch + (n, n), complex)
+        coeffs[..., 1:, 1:] = quarter[..., k[:, None], k[None, :]]
+        lo = (nn - n) // 2
+        big = np.zeros(batch + (nn, nn), complex)
+        big[..., lo:lo + n, lo:lo + n] = coeffs
+        axes = (-2, -1)
+        samples = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(big, axes=axes)), axes=axes)
+        m = (nn // 2 + np.arange(nn // 2 + 1)) % nn
+        want = samples[..., m[:, None], m[None, :]] * (nn / extent) ** 2
+        kept = quarter.copy()
+        got = _quarter_inverse(quarter * (nn / extent) ** 2, pad)
+        assert np.array_equal(quarter, kept)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_quarter_lattice_sums_weight_the_lines(self):
+        # a lattice sum on the quarter lattice weights the lines m = 0 and
+        # m = M/2 once and every other line twice: so weighted it equals the
+        # sum over the whole refined lattice
+        g = make_grid(32, 16.0)
+        F = dft_forward(_even_bump(g, 4))
+        w = TimeWindow(1.0, 9)
+        c = np.full(PAD_FACTOR * g.n // 2 + 1, 2.0)
+        c[0] = c[-1] = 1.0
+
+        def powers(chunk, phases, us):
+            u, = us
+            return np.einsum("a,b,tab->t", c, c, np.abs(u) ** 6)
+
+        quarter = np.concatenate(evolve_padded([F], g.xi_sq ** 2, w.nodes, powers, even=True))
+        full = spacetime_slices(F, g.xi_sq ** 2, w)
+        assert np.max(np.abs(quarter - full)) <= 1e-13 * np.max(full)
 
     @pytest.mark.parametrize("pad", [2, 3])
     @pytest.mark.parametrize("batch", [(), (3,)])
@@ -286,7 +422,7 @@ class TestPadding:
         rng = np.random.default_rng(pad)
         coeffs = rng.standard_normal(batch + (n, n)) + 1j * rng.standard_normal(batch + (n, n))
         cell = (extent / (pad * n)) ** 2
-        back = cell * _padded_forward(_padded_inverse(coeffs, pad, extent), n)
+        back = cell * _padded_forward(_padded_inverse(coeffs * (pad * n / extent) ** 2, pad), n)
         assert back.shape == coeffs.shape
         assert np.max(np.abs(back - coeffs)) <= 1e-14 * np.max(np.abs(coeffs))
 
@@ -305,31 +441,24 @@ class TestPadding:
 
     @pytest.mark.parametrize("real", [True, False])
     def test_el_map_matches_full_transform_and_crop(self, real):
-        # sum_t w_t e^{-it Delta^2}[|u|^4 u] over the whole window, with u
-        # sampled by a full transform of the centered embedding and the
-        # quintic's full spectrum cropped to the working band, then projected
-        # onto the guarded band.  For real input el_map sums the t >= 0 half
-        # and takes 2 Re; the reference does not.
+        # for real input el_map sums the t >= 0 half and takes 2 Re; the
+        # reference does not
         g = make_grid(32, 16.0)
         f = _bump(g, 5)
         if real:
             f = Field(g, f.values.real)
         w = TimeWindow(1.0, 9)
-        n, nn = g.n, PAD_FACTOR * g.n
-        lo = (nn - n) // 2
-        k = np.arange(-nn // 2, nn // 2)
-        sign = (-1.0) ** (k[:, None] + k[None, :])  # the centred transform's phase on the fine lattice
-        F = dft_forward(f).coeffs
-        acc = np.zeros_like(F)
-        for t, wt in zip(w.nodes, w.weights):
-            phase = np.exp(1j * t * g.xi_sq ** 2)
-            embedded = np.zeros((nn, nn), complex)
-            embedded[lo:lo + n, lo:lo + n] = F * phase
-            u = np.fft.ifft2(np.fft.ifftshift(sign * embedded)) * (nn / g.extent) ** 2
-            quintic = (g.extent / nn) ** 2 * sign * np.fft.fftshift(np.fft.fft2(np.abs(u) ** 4 * u))
-            acc += wt * np.conj(phase) * quintic[lo:lo + n, lo:lo + n]
-        ref = dft_inverse(SpectralField(g, acc * (g.xi_abs < BAND_GUARD_FRACTION * g.nyquist))).values
-        got = el_map(f, w).values
+        ref = _full_transform_and_crop(f, w)
+        got = el_map(f, w, "real" if real else "general").values
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_even_path_matches_full_transform_and_crop(self):
+        # the even path sums the t >= 0 half on the quarter lattice
+        g = make_grid(32, 16.0)
+        f = _even_bump(g, 5)
+        w = TimeWindow(1.0, 9)
+        ref = _full_transform_and_crop(f, w)
+        got = el_map(f, w, "even").values
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_spectra_left_unmodified(self):
