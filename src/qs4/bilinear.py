@@ -103,8 +103,14 @@ def product_norm_l3(pair: SeparatedPair, w: TimeWindow) -> float:
     """|| (e^{it Delta^2} f)(e^{it Delta^2} g) ||_{L^3_{t,x}} over the window."""
     def powers(chunk, phases, us):
         uf, ug = us
-        prod_sq = (uf.real ** 2 + uf.imag ** 2) * (ug.real ** 2 + ug.imag ** 2)
-        return np.sum(prod_sq * np.sqrt(prod_sq), axis=(-2, -1))
+        prod_sq = uf.real ** 2
+        prod_sq += uf.imag ** 2
+        root = ug.real ** 2
+        root += ug.imag ** 2
+        prod_sq *= root
+        np.sqrt(prod_sq, out=root)
+        prod_sq *= root
+        return np.sum(prod_sq, axis=(-2, -1))
 
     slices = np.concatenate(evolve_padded([dft_forward(pair.f), dft_forward(pair.g)],
                                           pair.f.grid.xi_sq ** 2, w.nodes, powers, pad=_PAIR_PAD))

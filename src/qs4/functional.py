@@ -15,17 +15,19 @@ on the refined lattice.  Every spectrum must pass check_band_guard at the
 kernel's entry: that guard is the condition under which the padded products
 keep wrapped frequencies out of the working band.  A per-chunk operation
 supplied by the caller reduces the padded samples to a plain lattice sum,
-and the kernel returns it times the refined lattice's cell area.  Each
-chunk's padded arrays are freed before the next chunk is evolved.  A chunk
+and the kernel returns it times the refined lattice's cell area.  A chunk
 holds at most _TIME_CHUNK nodes and _CHUNK_BYTES of padded samples (but at
-least one node), so memory stays bounded at any lattice size.
+least one node), so memory stays bounded at any lattice size.  The kernel
+allocates its buffers once per call, for one chunk, and every chunk is
+evolved, padded and transformed in place in them; the phases of a chunk
+are the exp of the symbol's distinct values, gathered onto the lattice.
 
 The working band sits at the start of each padded axis, not at its centre:
-that is the layout scipy.fft's n= argument produces, since it zero-pads each
-axis at its end.  The samples then come out rolled by half the torus and
-multiplied by the unimodular e^{i pi (j1 + j2) / pad}; |u|^p ignores both,
-even products cancel the modulation pairwise, and _padded_forward removes it
-from el_map's odd quintic by reading the band back from the same place.
+the spectrum is zero-padded at the end of each axis.  The samples then come
+out rolled by half the torus and multiplied by the unimodular
+e^{i pi (j1 + j2) / pad}; |u|^p ignores both, even products cancel the
+modulation pairwise, and _padded_forward removes it from el_map's odd
+quintic by reading the band back from the same place.
 
 The padded transforms are pruned 1-D passes (Orszag, J. Atmos. Sci. 28,
 1971).  Going in, only the n nonzero columns of the (pad n)^2 lattice are
@@ -56,7 +58,7 @@ guarded band it is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.fft as sfft
@@ -86,8 +88,11 @@ PAD_FACTOR = 3
 # losses of 0.066% and 0.62%.
 TAIL_FRACTION = 1e-3
 _TIME_CHUNK = 16
-# Padded-sample budget of one chunk: 16 nodes of two pad-2 operands at n=256.
-_CHUNK_BYTES = 128 << 20
+# Padded-sample budget of one chunk, in buffers allocated once per call: two
+# nodes of the bilinear scan's two pad-2 operands at n=256, one pad-3 node at
+# n=256, all 16 nodes of el_map's quarter lattice up to n=128.  Budgets of 32
+# to 128 MiB ran the bilinear product norm at n=256 20-50% slower (2-core x86).
+_CHUNK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -119,19 +124,33 @@ class TimeWindow:
         return TimeWindow(self.t_max, 2 * self.n_t - 1)
 
 
-def _padded_inverse(coeffs: np.ndarray, pad: int) -> np.ndarray:
+def _padded_inverse(cols: np.ndarray, out: np.ndarray, even: bool = False) -> np.ndarray:
     """Samples on the pad-fold refined lattice of centered coefficients
     (batched), up to the factor (pad n / extent)^2 the caller applies.
 
-    scipy's n= argument zero-pads each (pad*n)-point axis at its end, which
-    leaves the n x n block at the start, so the samples come out rolled by
-    half the torus and multiplied by e^{i pi (j1 + j2) / pad}.  Only the n
-    nonzero columns are transformed along axis -2 before every row is
-    transformed along axis -1.  The caller's array is not overwritten.
+    The transforms run in place in two buffers the caller owns, and both are
+    overwritten: the first n rows of `cols`, shaped (..., M, n) with
+    M = pad n, hold the coefficients, and `out`, shaped (..., M, M),
+    receives the samples and is returned.  The coefficients are zero-padded
+    at the end of each axis, so the samples come out rolled by half the
+    torus and multiplied by e^{i pi (j1 + j2) / pad}.  Only the n nonzero
+    columns are transformed along axis -2 before every row is transformed
+    along axis -1.
+
+    With `even`, `cols` holds the (n/2)^2 quarter k1, k2 >= 0 of a spectrum
+    even in each axis, M = pad n/2 + 1 and each pass is a DCT-I: the samples
+    lie on the M x M quarter of the refined lattice, unrolled and
+    unmodulated.
     """
-    nn = pad * coeffs.shape[-1]
-    cols = sfft.ifft(coeffs, n=nn, axis=-2)
-    return sfft.ifft(cols, n=nn, axis=-1, overwrite_x=True)
+    n = cols.shape[-1]
+    if even:
+        transform = partial(sfft.dct, type=1, norm="forward")
+    else:
+        transform = sfft.ifft
+    cols[..., n:, :] = 0
+    out[..., :n] = transform(cols, axis=-2, overwrite_x=True)
+    out[..., n:] = 0
+    return transform(out, axis=-1, overwrite_x=True)
 
 
 def _padded_forward(u: np.ndarray, n: int) -> np.ndarray:
@@ -143,19 +162,10 @@ def _padded_forward(u: np.ndarray, n: int) -> np.ndarray:
     return sfft.fft(rows, axis=-2, overwrite_x=True)[..., :n, :]
 
 
-def _quarter_inverse(coeffs: np.ndarray, pad: int) -> np.ndarray:
-    """_padded_inverse for the (n/2)^2 quarter k1, k2 >= 0 of a spectrum even
-    in each axis: samples on the (pad n/2 + 1)^2 quarter of the refined
-    lattice, unrolled and unmodulated, up to the same factor."""
-    m = pad * coeffs.shape[-1] + 1
-    cols = sfft.dct(coeffs, type=1, n=m, axis=-2, norm="forward")
-    return sfft.dct(cols, type=1, n=m, axis=-1, norm="forward", overwrite_x=True)
-
-
 def _quarter_forward(u: np.ndarray, h: int) -> np.ndarray:
-    """_padded_forward for samples laid out as _quarter_inverse returns them
-    (batched, overwrites u): the quarter k1, k2 = 0..h-1 of the spectrum of
-    their even extension, up to the cell area."""
+    """_padded_forward for samples laid out as _padded_inverse returns them
+    with `even` (batched, overwrites u): the quarter k1, k2 = 0..h-1 of the
+    spectrum of their even extension, up to the cell area."""
     rows = sfft.dct(u, type=1, axis=-1, overwrite_x=True)[..., :h]
     return sfft.dct(rows, type=1, axis=-2, overwrite_x=True)[..., :h, :]
 
@@ -171,16 +181,17 @@ def evolve_padded(spectra: list, symbol: np.ndarray, times: np.ndarray,
     `chunk` is the slice of `times` it covers, `phases` is
     exp(i times[chunk] symbol) with shape (len, n, n), and `us[k]` holds the
     samples of spectra[k] evolved to those nodes on the pad-fold refined
-    lattice, laid out as _padded_inverse returns them.  The padded arrays
-    live only for the call to `op`, so op must reduce them to a small lattice
-    sum; it may overwrite `us` (el_map forms its quintic and transforms in
-    place), never the spectra.
+    lattice, laid out as _padded_inverse returns them.  `phases` and `us`
+    are views of buffers allocated once per call and refilled for every
+    chunk, so op must reduce them to a small lattice sum and keep no
+    reference to them; it may overwrite `us` (el_map forms its quintic and
+    transforms in place), never the spectra.
 
     With `even`, the spectra belong to fields real and even in each axis
     and `symbol` is even in each axis: `phases` is its (len, n/2, n/2)
     quarter and `us[k]` the samples on the quarter lattice, laid out as
-    _quarter_inverse returns them (see the module docstring for the weights
-    op's lattice sums take there).
+    _padded_inverse returns them with `even` (see the module docstring for
+    the weights op's lattice sums take there).
     """
     g = spectra[0].grid
     if any(F.grid != g for F in spectra):
@@ -192,26 +203,35 @@ def evolve_padded(spectra: list, symbol: np.ndarray, times: np.ndarray,
     if even:
         h = g.n // 2
         coeffs = [F.coeffs[h:, h:] for F in spectra]
-        symbol, inverse, side = symbol[h:, h:], _quarter_inverse, nn // 2 + 1
+        symbol, side = symbol[h:, h:], nn // 2 + 1
     else:
         coeffs = [F.coeffs for F in spectra]
-        inverse, side = _padded_inverse, nn
-    step = max(1, min(_TIME_CHUNK, _CHUNK_BYTES // (len(spectra) * 16 * side ** 2)))
+        side = nn
+    n = symbol.shape[-1]
+    step = max(1, min(_TIME_CHUNK, len(times),
+                      _CHUNK_BYTES // (len(spectra) * 16 * side ** 2)))
+    # each chunk takes exp of the symbol's distinct values and gathers it:
+    # the same floats go into the same exp
+    values, where = np.unique(symbol, return_inverse=True)
+    where = where.reshape(symbol.shape)
+    phase_buf = np.empty((step, n, n), complex)
+    col_bufs = [np.empty((step, side, n), complex) for _ in spectra]
+    pad_bufs = [np.empty((step, side, side), complex) for _ in spectra]
     results = []
     for lo in range(0, len(times), step):
         chunk = slice(lo, lo + step)
-        phases = np.exp(1j * times[chunk, None, None] * symbol[None, :, :])
-        results.append(cell * op(chunk, phases, [inverse(_scaled(c * phases, scale), pad)
-                                                 for c in coeffs]))
+        k = len(times[chunk])
+        table = np.exp(1j * times[chunk, None] * values)
+        # "clip" lets take write straight into the buffer ("raise" copies)
+        phases = np.take(table, where, axis=1, out=phase_buf[:k], mode="clip")
+        us = []
+        for c, cols, out in zip(coeffs, col_bufs, pad_bufs):
+            head = cols[:k, :n]
+            np.multiply(c, phases, out=head)
+            head *= scale
+            us.append(_padded_inverse(cols[:k], out[:k], even))
+        results.append(cell * op(chunk, phases, us))
     return results
-
-
-def _scaled(product: np.ndarray, scale: float) -> np.ndarray:
-    """`product` scaled in place.  The kernel passes each fresh product
-    through here, so no second temporary is made and no reference to it
-    outlives the transform that reads it."""
-    product *= scale
-    return product
 
 
 def window_norm(slices: np.ndarray, w: TimeWindow, p: float, what: str,
@@ -239,8 +259,11 @@ def spacetime_slices(F: SpectralField, symbol: np.ndarray, w: TimeWindow) -> np.
     def powers(chunk, phases, us):
         u, = us
         a2 = u.real ** 2
-        a2 += u.imag ** 2
-        return np.sum(a2 * a2 * a2, axis=(-2, -1))
+        a6 = u.imag ** 2
+        a2 += a6
+        np.multiply(a2, a2, out=a6)
+        a6 *= a2
+        return np.sum(a6, axis=(-2, -1))
 
     return np.concatenate(evolve_padded([F], symbol, w.nodes, powers))
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qs4.bilinear import make_separated_pair, product_norm_l3
 from qs4.errors import NyquistGuardError, TailTestError, ValidationError
 from qs4.functional import (
     _CHUNK_BYTES,
@@ -11,7 +12,6 @@ from qs4.functional import (
     TimeWindow,
     _padded_forward,
     _padded_inverse,
-    _quarter_inverse,
     classify,
     el_map,
     evolve_padded,
@@ -31,7 +31,7 @@ from qs4.grid import (
     make_grid,
     make_random_field,
 )
-from qs4.propagator import evolve_quartic
+from qs4.propagator import demodulated_phase, evolve_quartic
 
 
 def _window():
@@ -41,6 +41,15 @@ def _window():
 def _bump(g, seed):
     return make_random_field(g, seed, band_radius=0.4 * g.nyquist,
                              envelope_width=g.extent / 10)
+
+
+def _inverse(coeffs, pad, even=False):
+    # _padded_inverse through buffers allocated for the one call
+    n = coeffs.shape[-1]
+    side = pad * n + 1 if even else pad * n
+    cols = np.empty(coeffs.shape[:-2] + (side, n), complex)
+    cols[..., :n, :] = coeffs
+    return _padded_inverse(cols, np.empty(coeffs.shape[:-2] + (side, side), complex), even)
 
 
 def _even_bump(g, seed):
@@ -325,7 +334,7 @@ class TestPadding:
     @pytest.mark.parametrize("n, operands, pad", [(128, 6, 3), (256, 2, 2), (64, 1, 3)])
     def test_chunk_bytes_bounded(self, n, operands, pad):
         # a chunk takes as many nodes as fit the byte budget, up to the node
-        # cap; (256, 2, 2) is the bilinear scan's full 16-node chunk
+        # cap; (256, 2, 2) is the bilinear scan's two-node chunk
         g = make_grid(n, 16.0)
         seen = []
 
@@ -358,10 +367,8 @@ class TestPadding:
         axes = (-2, -1)
         samples = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(big, axes=axes)), axes=axes)
         rolled = np.roll(samples, (nn // 2, nn // 2), axis=axes) * (nn / extent) ** 2
-        kept = coeffs.copy()
-        # the caller applies the scale; _padded_inverse leaves its input alone
-        got = _padded_inverse(coeffs * (nn / extent) ** 2, pad)
-        assert np.array_equal(coeffs, kept)
+        # the caller applies the scale
+        got = _inverse(coeffs * (nn / extent) ** 2, pad)
         assert got.shape == rolled.shape
         scale = np.max(np.abs(rolled))
         assert np.max(np.abs(np.abs(got) - np.abs(rolled))) <= 1e-14 * scale
@@ -389,9 +396,7 @@ class TestPadding:
         samples = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(big, axes=axes)), axes=axes)
         m = (nn // 2 + np.arange(nn // 2 + 1)) % nn
         want = samples[..., m[:, None], m[None, :]] * (nn / extent) ** 2
-        kept = quarter.copy()
-        got = _quarter_inverse(quarter * (nn / extent) ** 2, pad)
-        assert np.array_equal(quarter, kept)
+        got = _inverse(quarter * (nn / extent) ** 2, pad, even=True)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -422,7 +427,7 @@ class TestPadding:
         rng = np.random.default_rng(pad)
         coeffs = rng.standard_normal(batch + (n, n)) + 1j * rng.standard_normal(batch + (n, n))
         cell = (extent / (pad * n)) ** 2
-        back = cell * _padded_forward(_padded_inverse(coeffs * (pad * n / extent) ** 2, pad), n)
+        back = cell * _padded_forward(_inverse(coeffs * (pad * n / extent) ** 2, pad), n)
         assert back.shape == coeffs.shape
         assert np.max(np.abs(back - coeffs)) <= 1e-14 * np.max(np.abs(coeffs))
 
@@ -475,3 +480,70 @@ class TestPadding:
         evolve_padded(spectra, g.xi_sq ** 2, np.linspace(-1.0, 1.0, 2 * _TIME_CHUNK + 1),
                       clobber)
         assert all(np.array_equal(F.coeffs, k) for F, k in zip(spectra, kept))
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_reused_buffers_do_not_leak(self, even):
+        # the buffers are refilled for every chunk: an op that fills them
+        # with NaN after reducing sees what an op that leaves them alone sees
+        g = make_grid(16, 8.0)
+        spectra = [dft_forward(_even_bump(g, seed)) for seed in range(2)]
+        times = np.linspace(-1.0, 1.0, 3 * _TIME_CHUNK + 1)
+
+        def sums(chunk, phases, us):
+            return np.array([np.sum(np.abs(u) ** 2, axis=(-2, -1)) for u in us])
+
+        def spoil(chunk, phases, us):
+            got = sums(chunk, phases, us)
+            for u in us:
+                u.fill(np.nan)
+            return got
+
+        spoiled = evolve_padded(spectra, g.xi_sq ** 2, times, spoil, even=even)
+        kept = evolve_padded(spectra, g.xi_sq ** 2, times, sums, even=even)
+        assert len(spoiled) >= 3
+        assert np.array_equal(np.concatenate(spoiled, axis=-1), np.concatenate(kept, axis=-1))
+
+    def test_chunk_size_invariance(self, monkeypatch):
+        # one node per chunk: per-node sums stay bit for bit; el_map and
+        # q_form regroup their t-sums, so they agree to rounding
+        g = make_grid(32, 16.0)
+        f = _bump(g, 3)
+        real = Field(g, f.values.real)
+        w = TimeWindow(1.0, 33)
+        pair = make_separated_pair(make_grid(128, 32.0), 0.5, 4.0, seed=0, envelope_width=2.0)
+
+        def outputs():
+            return (spacetime_slices(dft_forward(f), g.xi_sq ** 2, w),
+                    product_norm_l3(pair, TimeWindow(0.5, 33)),
+                    el_map(f, w, "general").values, el_map(real, w, "real").values,
+                    q_form(f, real, f, f, real, f, w))
+
+        default = outputs()
+        monkeypatch.setattr("qs4.functional._CHUNK_BYTES", 1)
+        single = outputs()
+        assert np.array_equal(single[0], default[0])
+        assert single[1] == default[1]
+        for got, want in zip(single[2:], default[2:]):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["quartic", "demodulated", "even"])
+    def test_phase_table_exact(self, kind):
+        # the phases gathered from the symbol's distinct values are the
+        # exp of the whole symbol, bit for bit
+        g = make_grid(32, 16.0)
+        times = np.linspace(-1.0, 1.0, 2 * _TIME_CHUNK + 1)
+        if kind == "demodulated":
+            points = np.stack(np.meshgrid(g.xi, g.xi, indexing="ij"), axis=-1)
+            symbol = demodulated_phase(points, (4.8, 6.4))
+        else:
+            symbol = g.xi_sq ** 2
+        even = kind == "even"
+        want = symbol[g.n // 2:, g.n // 2:] if even else symbol
+        seen = []
+
+        def record(chunk, phases, us):
+            seen.append(np.array_equal(phases, np.exp(1j * times[chunk, None, None] * want)))
+            return 0.0
+
+        evolve_padded([dft_forward(_even_bump(g, 0))], symbol, times, record, even=even)
+        assert len(seen) == 3 and all(seen)
