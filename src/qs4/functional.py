@@ -124,7 +124,7 @@ class TimeWindow:
         return TimeWindow(self.t_max, 2 * self.n_t - 1)
 
 
-def _padded_inverse(cols: np.ndarray, out: np.ndarray, even: bool = False) -> np.ndarray:
+def _padded_inverse(cols: np.ndarray, out: np.ndarray, even: bool) -> np.ndarray:
     """Samples on the pad-fold refined lattice of centered coefficients
     (batched), up to the factor (pad n / extent)^2 the caller applies.
 

@@ -44,12 +44,13 @@ def _bump(g, seed):
 
 
 def _inverse(coeffs, pad, even=False):
-    # _padded_inverse through buffers allocated for the one call
+    # _padded_inverse through buffers allocated for the one call; the NaN
+    # it must overwrite stands for a previous chunk's samples
     n = coeffs.shape[-1]
     side = pad * n + 1 if even else pad * n
-    cols = np.empty(coeffs.shape[:-2] + (side, n), complex)
+    cols = np.full(coeffs.shape[:-2] + (side, n), np.nan, complex)
     cols[..., :n, :] = coeffs
-    return _padded_inverse(cols, np.empty(coeffs.shape[:-2] + (side, side), complex), even)
+    return _padded_inverse(cols, np.full(coeffs.shape[:-2] + (side, side), np.nan, complex), even)
 
 
 def _even_bump(g, seed):
